@@ -37,7 +37,7 @@ from .moving import (
 )
 from .parser import ParseError, parse_expression, parse_ratfunc
 from .places import INFINITY, Divisor, PrimeDivisor, check_sum_formula, divisor_of, ord_at, parse_prime
-from .ratfunc import Poly, Rat, RatFunc, factorize
+from .ratfunc import Poly, RatFunc, factorize
 from .steinmetz import choose_s, dim_L, extend_basis, monomials
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "PrimeDivisor",
     "ProbeRefusal",
     "ProjPoint",
-    "Rat",
     "RatFunc",
     "Sequence",
     "VerificationReport",

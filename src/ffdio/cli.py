@@ -6,19 +6,11 @@ Exit codes for experiment runs: 0 = PASS, 2 = FAIL, 3 = probe refusal,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
 
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    ProbeRefusal,
-    generate,
-    load_experiment,
-    run,
-)
+from .harness import ConfigError, ProbeRefusal, generate, load_experiment, run
 from .heights import LinearForm, ProjPoint, height_point, weil
 from .moving import Sequence, window_range
 from .parser import ParseError, parse_ratfunc
@@ -100,31 +92,23 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--delta", help="override delta, rational p/q")
     p.add_argument("--format", choices=["csv", "json"], default="json")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--threads", type=int, help="worker threads for per-index rows")
     p.add_argument("--infinite-subset", help="pass if this fraction of the window satisfies the bound")
     p.add_argument("-o", "--output", help="write the report to a file instead of stdout")
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    changes = {}
-    if args.window:
-        changes["window"] = _parse_window(args.window)
-    if args.epsilon:
-        changes["epsilon"] = Fraction(args.epsilon)
-    if args.delta:
-        changes["delta"] = Fraction(args.delta)
-    if args.seed is not None:
-        changes["seed"] = args.seed
-    if args.threads is not None:
-        changes["threads"] = args.threads
-    if args.infinite_subset is not None:
-        changes["infinite_subset"] = Fraction(args.infinite_subset)
-    return dataclasses.replace(cfg, **changes) if changes else cfg
+def _overrides(args) -> dict:
+    """The run flags as config entries, validated together with the file."""
+    raw = {}
+    if args.window is not None:
+        raw["window"] = list(_parse_window(args.window))
+    for key in ("epsilon", "delta", "seed", "infinite_subset"):
+        if getattr(args, key) is not None:
+            raw[key] = getattr(args, key)
+    return raw
 
 
 def _run_experiment(args, mode: str) -> int:
-    cfg = load_experiment(args.config, mode)
-    cfg = _apply_overrides(cfg, args)
+    cfg = load_experiment(args.config, mode, _overrides(args))
     try:
         report = run(mode, cfg)
     except ProbeRefusal as exc:

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from . import linalg
 from .heights import LinearForm, PlaceSet, height_point, proximity, weil
@@ -32,10 +31,11 @@ from .moving import (
 )
 from .parser import EvalError, ParseError, parse_expression
 from .places import PrimeDivisor, parse_prime
-from .ratfunc import RatFunc
 from .reduction import (
+    ExactIdentityError,
     PlaceSelection,
     build_transfer,
+    check_inverse,
     check_local_inequality,
     derive_and_pad,
     height_P_decomposition,
@@ -83,7 +83,6 @@ class ExperimentConfig:
     tail_fraction: Fraction
     smallness_delta: Fraction
     infinite_subset: Optional[Fraction] = None
-    threads: int = 1
     seed: Optional[int] = None
     profile: Optional[str] = None
 
@@ -103,7 +102,6 @@ class ExperimentConfig:
                 "smallness_delta": str(self.smallness_delta),
             },
             "infinite_subset": None if self.infinite_subset is None else str(self.infinite_subset),
-            "threads": self.threads,
             "seed": self.seed,
             "profile": self.profile,
         }
@@ -206,10 +204,6 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
         if not (0 < infinite_subset <= 1):
             raise ConfigError("infinite_subset: must be in (0, 1]")
 
-    threads = data.get("threads", 1)
-    if not isinstance(threads, int) or threads < 1:
-        raise ConfigError("threads: must be a positive integer")
-
     cfg = ExperimentConfig(
         m=m,
         q=q,
@@ -223,7 +217,6 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
         tail_fraction=tail_fraction,
         smallness_delta=smallness_delta,
         infinite_subset=infinite_subset,
-        threads=threads,
         seed=data.get("seed"),
         profile=data.get("profile"),
     )
@@ -243,12 +236,18 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
     return cfg
 
 
-def load_experiment(path, mode: Optional[str] = None) -> ExperimentConfig:
+def load_experiment(
+    path, mode: Optional[str] = None, overrides: Optional[dict] = None
+) -> ExperimentConfig:
+    """Read a JSON config; `overrides` replace top-level entries before the
+    whole config is validated, so they get the same checks as the file."""
     raw = Path(path).read_text(encoding="utf-8")
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON: {exc}") from exc
+    if overrides and isinstance(data, dict):
+        data = {**data, **overrides}
     return parse_config(data, mode)
 
 
@@ -262,6 +261,10 @@ class ReportRow:
     ratio: Optional[Fraction]
     excluded: bool
     note: str = ""
+
+
+def _excluded(alpha: int, q: int, note: str, h_x: Optional[int] = None) -> ReportRow:
+    return ReportRow(alpha, h_x, (None,) * q, None, None, None, True, note)
 
 
 def _fmt(value) -> str:
@@ -366,37 +369,20 @@ def _run_probes(cfg: ExperimentConfig, fam, xs, strict_gp: bool) -> tuple[dict, 
     return probes, gp_bad
 
 
-def _fit_constant(
-    rows: list[ReportRow], slope: Fraction, head_fraction: Fraction = Fraction(1, 4)
-) -> Fraction:
-    """max(0, max over the window head of LHS - slope * h)."""
-    included = [r for r in rows if not r.excluded]
-    head = included[: max(1, len(included) // int(1 / head_fraction))]
-    worst = Fraction(0)
-    for r in head:
-        gap = r.lhs - slope * r.h_x
-        if gap > worst:
-            worst = gap
-    return worst
-
-
-def _apply_bound(rows: list[ReportRow], slope: Fraction, constant: Fraction) -> list[ReportRow]:
+def _apply_bound(
+    rows: list[ReportRow], slope: Fraction, constant: Fraction, height: Callable
+) -> list[ReportRow]:
     out = []
     for r in rows:
         if r.excluded:
             out.append(r)
             continue
-        rhs = slope * r.h_x + constant
+        rhs = slope * height(r) + constant
         ratio = Fraction(r.lhs, r.h_x) if r.h_x else None
         out.append(
             ReportRow(r.alpha, r.h_x, r.lam, r.lhs, rhs, ratio, False, r.note)
         )
     return out
-
-
-def _tail_threshold(cfg: ExperimentConfig) -> Fraction:
-    lo, hi = cfg.window
-    return lo + cfg.tail_fraction * (hi - lo)
 
 
 def _verdict(cfg: ExperimentConfig, rows: list[ReportRow]) -> str:
@@ -407,18 +393,46 @@ def _verdict(cfg: ExperimentConfig, rows: list[ReportRow]) -> str:
         good = sum(1 for r in included if r.lhs <= r.rhs)
         total = len(cfg.window_indices())
         return "PASS" if Fraction(good, total) >= cfg.infinite_subset else "FAIL"
-    cut = _tail_threshold(cfg)
-    tail = [r for r in included if r.alpha >= cut]
+    lo, hi = cfg.window
+    tail = [r for r in included if r.alpha >= lo + cfg.tail_fraction * (hi - lo)]
     if not tail:
         return "FAIL"
     return "PASS" if all(r.lhs <= r.rhs for r in tail) else "FAIL"
 
 
-def _compute_rows(cfg: ExperimentConfig, per_alpha, window) -> list[ReportRow]:
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            return list(pool.map(per_alpha, window))
-    return [per_alpha(alpha) for alpha in window]
+def _conclude(
+    mode: str,
+    cfg: ExperimentConfig,
+    rows: list[ReportRow],
+    slope: Fraction,
+    probes: dict,
+    extra: dict,
+    height: Callable[[ReportRow], int] = lambda r: r.h_x,
+) -> VerificationReport:
+    """The tail every run mode ends in.
+
+    Fits the additive constant C = max(0, max of LHS - slope * height) on the
+    head quarter of the included rows, bounds every included row by
+    slope * height + C, and takes the verdict with C and with C = 0. The
+    bound is taken in `height` of a row; its ratio is always LHS / h(x).
+    """
+    included = [r for r in rows if not r.excluded]
+    constant = Fraction(0)
+    for r in included[: max(1, len(included) // 4)]:
+        constant = max(constant, r.lhs - slope * height(r))
+    rows = _apply_bound(rows, slope, constant, height)
+    verdict = _verdict(cfg, rows)
+    no_c = _verdict(cfg, _apply_bound(rows, slope, Fraction(0), height))
+    return VerificationReport(
+        mode=mode,
+        config=cfg,
+        rows=rows,
+        verdict=verdict,
+        verdict_no_constant=no_c,
+        fitted_constant=constant,
+        probes=probes,
+        extra=extra,
+    )
 
 
 def run_verify(cfg: ExperimentConfig) -> VerificationReport:
@@ -435,37 +449,21 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
         try:
             x = xs.eval_point(alpha)
         except EvalError as exc:
-            return ReportRow(alpha, None, (None,) * cfg.q, None, None, None, True, str(exc))
+            return _excluded(alpha, cfg.q, str(exc))
         hx = height_point(x)
         lams = []
         for j in range(cfg.q):
             form = fam.eval_form(j, alpha)
             if form.apply(x).is_zero():
-                return ReportRow(
-                    alpha, hx, (None,) * cfg.q, None, None, None, True,
-                    f"point on hyperplane {j}",
-                )
+                return _excluded(alpha, cfg.q, f"point on hyperplane {j}", hx)
             lams.append(proximity(x, form, S))
         if hx == 0:
             return ReportRow(alpha, hx, tuple(lams), sum(lams), None, None, True, "h(x)=0")
         return ReportRow(alpha, hx, tuple(lams), sum(lams), None, None, False)
 
-    rows = _compute_rows(cfg, per_alpha, window)
+    rows = [per_alpha(alpha) for alpha in window]
     slope = cfg.m + 1 + cfg.epsilon
-    constant = _fit_constant(rows, slope)
-    rows = _apply_bound(rows, slope, constant)
-    verdict = _verdict(cfg, rows)
-    no_c = _verdict(cfg, _apply_bound(rows, slope, Fraction(0)))
-    return VerificationReport(
-        mode="verify",
-        config=cfg,
-        rows=rows,
-        verdict=verdict,
-        verdict_no_constant=no_c,
-        fitted_constant=constant,
-        probes=probes,
-        extra={"slope": str(slope)},
-    )
+    return _conclude("verify", cfg, rows, slope, probes, {"slope": str(slope)})
 
 
 def admissible_subsets(forms: list[LinearForm], m: int) -> list[tuple[int, ...]]:
@@ -501,14 +499,11 @@ def run_wang_check(cfg: ExperimentConfig) -> VerificationReport:
         try:
             x = xs.eval_point(alpha)
         except EvalError as exc:
-            return ReportRow(alpha, None, (None,) * cfg.q, None, None, None, True, str(exc))
+            return _excluded(alpha, cfg.q, str(exc))
         hx = height_point(x)
         for j, form in enumerate(forms):
             if form.apply(x).is_zero():
-                return ReportRow(
-                    alpha, hx, (None,) * cfg.q, None, None, None, True,
-                    f"point on hyperplane {j}",
-                )
+                return _excluded(alpha, cfg.q, f"point on hyperplane {j}", hx)
         local = {(j, p): weil(x, forms[j], p) for j in range(cfg.q) for p in places}
         lhs = sum(
             max(sum(local[(j, p)] for j in subset) for subset in subsets) for p in places
@@ -518,22 +513,10 @@ def run_wang_check(cfg: ExperimentConfig) -> VerificationReport:
             return ReportRow(alpha, hx, lams, lhs, None, None, True, "h(x)=0")
         return ReportRow(alpha, hx, lams, lhs, None, None, False)
 
-    rows = _compute_rows(cfg, per_alpha, window)
+    rows = [per_alpha(alpha) for alpha in window]
     slope = cfg.m + 1 + cfg.epsilon
-    constant = _fit_constant(rows, slope)
-    rows = _apply_bound(rows, slope, constant)
-    verdict = _verdict(cfg, rows)
-    no_c = _verdict(cfg, _apply_bound(rows, slope, Fraction(0)))
-    return VerificationReport(
-        mode="wang",
-        config=cfg,
-        rows=rows,
-        verdict=verdict,
-        verdict_no_constant=no_c,
-        fitted_constant=constant,
-        probes=probes,
-        extra={"slope": str(slope), "admissible_subsets": len(subsets)},
-    )
+    extra = {"slope": str(slope), "admissible_subsets": len(subsets)}
+    return _conclude("wang", cfg, rows, slope, probes, extra)
 
 
 def _dedup_sequences(seqs: list[Sequence], window) -> list[Sequence]:
@@ -560,7 +543,13 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
     probes, gp_bad = _run_probes(cfg, fam, xs, strict_gp=False)
 
     forms = normalize_xi(fam, window, max_exceptions=max(1, len(window) // 10))
-    excluded = set(gp_bad) | set(forms.all_exceptions())
+    eval_errors = {}
+    for alpha in window:
+        try:
+            xs.eval_point(alpha)
+        except EvalError as exc:
+            eval_errors[alpha] = str(exc)
+    excluded = set(gp_bad) | set(forms.all_exceptions()) | set(eval_errors)
     usable = [alpha for alpha in window if alpha not in excluded]
     if not usable:
         raise ProbeRefusal("all window indices are excluded", probes)
@@ -575,17 +564,13 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
 
     places = cfg.places()
     selections: dict[PrimeDivisor, PlaceSelection] = {}
-    transfers = {}
     for p in places:
         sel = stabilize_J(p, usable, forms, xs)
         C = build_transfer(sel, b, ls, forms, xs, usable)
         derive_and_pad(C)
         selections[p] = sel
-        transfers[p] = C
         for alpha in sel.stable_subset:
-            inv = invert_forms(sel, alpha, forms)
-            mat = [list(forms.eval_form(j, alpha).coeffs) for j in sel.J]
-            _assert_inverse(inv, mat, p, alpha)
+            check_inverse(sel, alpha, forms, invert_forms(sel, alpha, forms))
             for l in range(cfg.m + 1):
                 for jj in range(ls):
                     weil_transfer_check(p, alpha, l, jj, C, b, forms, xs)
@@ -601,7 +586,7 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
             sel = PlaceSelection(p, J, (alpha,))
             res = check_local_inequality(p, alpha, sel, forms, x)
             if not res.holds:
-                raise AssertionError(
+                raise ExactIdentityError(
                     f"local counting inequality fails at place {p}, index {alpha}"
                 )
             local_checks += 1
@@ -612,14 +597,11 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
     S = cfg.place_set()
 
     rows: list[ReportRow] = []
-    slope = (cfg.m + 1) * ls1 + cfg.delta
-    raw = []
+    h_product: dict[int, int] = {}  # the bound is taken in h(P) = h(x) + h(b)
     for alpha in window:
         if alpha not in stable_common:
-            rows.append(
-                ReportRow(alpha, None, (None,) * cfg.q, None, None, None, True,
-                          "outside the common stable subset")
-            )
+            note = eval_errors.get(alpha, "outside the common stable subset")
+            rows.append(_excluded(alpha, cfg.q, note))
             continue
         x = xs.eval_point(alpha)
         split = height_P_decomposition(b, xs, alpha)
@@ -628,67 +610,23 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
             sel = selections[p]
             for l in range(cfg.m + 1):
                 lam_sel += weil(x, forms.eval_form(sel.J[l], alpha), p)
-        lhs = ls * lam_sel
         lams = tuple(proximity(x, forms.eval_form(j, alpha), S) for j in range(cfg.q))
-        raw.append((alpha, split, lhs, lams))
+        h_product[alpha] = split.h_product
+        rows.append(ReportRow(alpha, split.h_point, lams, ls * lam_sel, None, None, False))
 
-    constant = Fraction(0)
-    head = raw[: max(1, len(raw) // 4)]
-    for alpha, split, lhs, _ in head:
-        gap = lhs - slope * split.h_product
-        if gap > constant:
-            constant = gap
-
-    stable_rows = []
-    for alpha, split, lhs, lams in raw:
-        rhs = slope * split.h_product + constant
-        ratio = Fraction(lhs, split.h_point) if split.h_point else None
-        stable_rows.append(ReportRow(alpha, split.h_point, lams, lhs, rhs, ratio, False))
-    rows = sorted(rows + stable_rows, key=lambda r: r.alpha)
-
-    verdict = _verdict(cfg, rows)
-    no_c_rows = [
-        r if r.excluded else ReportRow(
-            r.alpha, r.h_x, r.lam, r.lhs, r.rhs - constant, r.ratio, False, r.note
-        )
-        for r in rows
-    ]
-    no_c = _verdict(cfg, no_c_rows)
-
-    return VerificationReport(
-        mode="reduce",
-        config=cfg,
-        rows=rows,
-        verdict=verdict,
-        verdict_no_constant=no_c,
-        fitted_constant=constant,
-        probes=probes,
-        extra={
-            "s": s,
-            "l_s": ls,
-            "l_s1": ls1,
-            "slope": str(slope),
-            "selections": {str(p): list(selections[p].J) for p in places},
-            "stable_indices": sorted(stable_common),
-            "local_inequality_checks": local_checks,
-        },
+    slope = (cfg.m + 1) * ls1 + cfg.delta
+    extra = {
+        "s": s,
+        "l_s": ls,
+        "l_s1": ls1,
+        "slope": str(slope),
+        "selections": {str(p): list(selections[p].J) for p in places},
+        "stable_indices": sorted(stable_common),
+        "local_inequality_checks": local_checks,
+    }
+    return _conclude(
+        "reduce", cfg, rows, slope, probes, extra, height=lambda r: h_product[r.alpha]
     )
-
-
-def _assert_inverse(inv, mat, p, alpha) -> None:
-    n = len(mat)
-    one = RatFunc.constant(1)
-    zero = RatFunc.constant(0)
-    for i in range(n):
-        for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + inv[i][k] * mat[k][j]
-            expected = one if i == j else zero
-            if acc != expected:
-                raise AssertionError(
-                    f"inverse identity fails at place {p}, index {alpha}"
-                )
 
 
 def generate(profile: str, **params) -> ExperimentConfig:

@@ -2,12 +2,15 @@
 
 Entries may be `fractions.Fraction` or `RatFunc`; zero testing is `== 0`
 (RatFunc compares against the constant). No pivoting heuristics are needed
-since arithmetic is exact.
+since arithmetic is exact. `rational_vectors` turns Q(t)-valued sequences
+into Q-vectors, so ranks over Q use the same elimination.
 """
 from __future__ import annotations
 
-from itertools import permutations
+from fractions import Fraction
 from typing import Sequence, TypeVar
+
+from .ratfunc import ONE, RatFunc, poly_gcd
 
 F = TypeVar("F")
 
@@ -50,44 +53,6 @@ def rref(rows: Sequence[Sequence[F]]) -> tuple[Matrix, list[int]]:
 
 def rank(rows: Sequence[Sequence[F]]) -> int:
     return len(rref(rows)[1])
-
-
-def nullspace(rows: Sequence[Sequence[F]], one: F) -> list[list[F]]:
-    """Basis of the right kernel; `one` is the field's multiplicative identity."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    zero = one - one
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve(rows: Sequence[Sequence[F]], rhs: Sequence[F]) -> list[F]:
-    """Unique-solution exact solve of rows @ x = rhs.
-
-    Raises InconsistentSystem if no solution exists and ValueError if the
-    solution is not unique (column-rank deficiency).
-    """
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    ncols = len(rows[0])
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        raise InconsistentSystem("no exact solution")
-    if len(pivots) < ncols:
-        raise ValueError("solution is not unique")
-    zero = rhs[0] - rhs[0]
-    x = [zero] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][ncols]
-    return x
 
 
 def solve_particular(rows: Sequence[Sequence[F]], rhs: Sequence[F]) -> list[F]:
@@ -136,21 +101,6 @@ def det(rows: Sequence[Sequence[F]]):
     return result if sign == 1 else -result
 
 
-def det_cofactor(rows: Sequence[Sequence[F]]):
-    """Leibniz-formula determinant; slow independent cross-check for tests."""
-    n = len(rows)
-    total = None
-    for perm in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
-        term = rows[0][perm[0]]
-        for i in range(1, n):
-            term = term * rows[i][perm[i]]
-        if inv % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 class GreedyBasis:
     """Incremental independent-prefix selection over a field.
 
@@ -184,3 +134,26 @@ class GreedyBasis:
     @property
     def rank(self) -> int:
         return len(self.reduced)
+
+
+def rational_vectors(values_per_alpha: list[list[RatFunc]]) -> list[list[Fraction]]:
+    """Flatten K-valued columns into Q-vectors by clearing denominators per alpha.
+
+    values_per_alpha[i][m] is the value of item m at the i-th window index;
+    the result has one vector per item, concatenating t-coefficient blocks.
+    """
+    n_items = len(values_per_alpha[0]) if values_per_alpha else 0
+    vectors: list[list[Fraction]] = [[] for _ in range(n_items)]
+    for values in values_per_alpha:
+        dens = [v.den for v in values]
+        common = ONE
+        for d in dens:
+            if d != ONE:
+                common = common * d // poly_gcd(common, d)
+        numerators = [v.num * (common // v.den) for v in values]
+        width = max((p.degree for p in numerators), default=-1) + 1
+        width = max(width, 1)
+        for m, p in enumerate(numerators):
+            block = list(p.coeffs) + [Fraction(0)] * (width - len(p.coeffs))
+            vectors[m].extend(block)
+    return vectors

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, Optional, Sequence as Seq
 from . import linalg
 from .heights import LinearForm, ProjPoint, height_form, height_point
 from .parser import EvalError, Node, evaluate, parse_expression
-from .ratfunc import ONE, RatFunc, poly_gcd
+from .ratfunc import RatFunc
 
 
 def window_range(lo: int, hi: int) -> tuple[int, ...]:
@@ -167,10 +167,6 @@ class WindowVerdict:
     detail: dict = field(default_factory=dict, compare=False)
 
 
-def eval_point(xs: PointSequence, alpha: int) -> ProjPoint:
-    return xs.eval_point(alpha)
-
-
 def normalize_xi(
     family: MovingHyperplaneFamily,
     window: Seq[int],
@@ -275,129 +271,17 @@ def smallness_report(
     )
 
 
-def _rational_vectors(values_per_alpha: list[list[RatFunc]]) -> list[list[Fraction]]:
-    """Flatten K-valued columns into Q-vectors by clearing denominators per alpha.
-
-    values_per_alpha[i][m] is the value of item m at the i-th window index;
-    the result has one vector per item, concatenating t-coefficient blocks.
-    """
-    n_items = len(values_per_alpha[0]) if values_per_alpha else 0
-    vectors: list[list[Fraction]] = [[] for _ in range(n_items)]
-    for values in values_per_alpha:
-        dens = [v.den for v in values]
-        common = ONE
-        for d in dens:
-            if d != ONE:
-                common = common * d // poly_gcd(common, d)
-        numerators = [v.num * (common // v.den) for v in values]
-        width = max((p.degree for p in numerators), default=-1) + 1
-        width = max(width, 1)
-        for m, p in enumerate(numerators):
-            block = list(p.coeffs) + [Fraction(0)] * (width - len(p.coeffs))
-            vectors[m].extend(block)
-    return vectors
-
-
 def sequence_rank_over_q(
     seqs: Seq[Sequence], window: Seq[int]
 ) -> tuple[int, list[int]]:
     """Rank over Q of a family of K-valued sequences on the window, plus the
     greedy first-independent prefix indices in the given order."""
     values_per_alpha = [[s.eval(alpha) for s in seqs] for alpha in window]
-    vectors = _rational_vectors(values_per_alpha)
+    vectors = linalg.rational_vectors(values_per_alpha)
     greedy = linalg.GreedyBasis()
     for vec in vectors:
         greedy.offer(vec)
     return greedy.rank, greedy.accepted
-
-
-def coherence_probe(
-    family: MovingHyperplaneFamily,
-    window: Seq[int],
-    degree_bound: int,
-    threshold: Optional[int] = None,
-) -> WindowVerdict:
-    """Finite heuristic check of the coherence property.
-
-    For each multi-homogeneous monomial pattern of total degree <= degree_bound
-    in the coefficient entries, candidate Q-linear combinations (the monomials
-    themselves plus kernels of sub-window value matrices) must vanish either at
-    every window index or at fewer than `threshold` of them. Necessary only:
-    a holds verdict does not prove coherence.
-    """
-    window = tuple(window)
-    if threshold is None:
-        threshold = max(3, len(window) // 4)
-    q, mdim = family.q, family.m + 1
-
-    def block_monomials(d: int):
-        return _exponent_vectors(mdim, d)
-
-    patterns = []
-    for degs in _compositions_up_to(q, degree_bound):
-        if sum(degs) == 0:
-            continue
-        patterns.append(degs)
-
-    sub_windows = [
-        window,
-        window[: len(window) // 2],
-        window[len(window) // 2 :],
-        window[::2],
-        window[1::2],
-    ]
-
-    worst: Optional[Fraction] = None
-    failures = []
-    for degs in patterns:
-        monos = [()]
-        for j, d in enumerate(degs):
-            monos = [m + (vec,) for m in monos for vec in block_monomials(d)]
-
-        def mono_value(mono, alpha) -> RatFunc:
-            acc = RatFunc.constant(1)
-            for j, vec in enumerate(mono):
-                for l, e in enumerate(vec):
-                    if e:
-                        acc = acc * family.rows[j][l].eval(alpha) ** e
-            return acc
-
-        values = {alpha: [mono_value(mn, alpha) for mn in monos] for alpha in window}
-
-        candidates = [
-            [Fraction(1 if i == k else 0) for i in range(len(monos))]
-            for k in range(len(monos))
-        ]
-        for sub in sub_windows:
-            if len(sub) < 2:
-                continue
-            vectors = _rational_vectors([values[alpha] for alpha in sub])
-            rows = [list(col) for col in zip(*vectors)] if vectors and vectors[0] else []
-            if rows:
-                candidates.extend(linalg.nullspace(rows, Fraction(1)))
-
-        for combo in candidates:
-            zeros = 0
-            for alpha in window:
-                acc = RatFunc.constant(0)
-                for c, v in zip(combo, values[alpha]):
-                    if c:
-                        acc = acc + v * c
-                if acc.is_zero():
-                    zeros += 1
-            frac = Fraction(zeros, len(window))
-            if 0 < zeros < len(window):
-                worst = frac if worst is None or frac > worst else worst
-                if zeros >= threshold:
-                    failures.append((degs, zeros))
-    holds = not failures
-    return WindowVerdict(
-        window=window,
-        holds=holds,
-        exceptions=(),
-        statistic=worst if worst is not None else Fraction(0),
-        detail={"failures": failures, "threshold": threshold},
-    )
 
 
 def nondegeneracy_probe(xs: PointSequence, window: Seq[int]) -> WindowVerdict:
@@ -423,22 +307,3 @@ def nondegeneracy_probe(xs: PointSequence, window: Seq[int]) -> WindowVerdict:
         detail={"rank": rk},
     )
 
-
-def _exponent_vectors(n: int, s: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of length n with total degree exactly s, in
-    lexicographically decreasing order."""
-    if n == 1:
-        return [(s,)]
-    out = []
-    for first in range(s, -1, -1):
-        for rest in _exponent_vectors(n - 1, s - first):
-            out.append((first,) + rest)
-    return out
-
-
-def _compositions_up_to(n: int, total: int) -> list[tuple[int, ...]]:
-    out = []
-    for s in range(total + 1):
-        for vec in _exponent_vectors(n, s):
-            out.append(vec)
-    return out

@@ -255,17 +255,3 @@ def parse_ratfunc(text: str) -> RatFunc:
         return evaluate(node)
     except ZeroDivisionError as exc:
         raise EvalError(str(exc)) from exc
-
-
-def uses_index(node: Node) -> bool:
-    if isinstance(node, Var):
-        return node.name == "a"
-    if isinstance(node, Bin):
-        return uses_index(node.left) or uses_index(node.right)
-    if isinstance(node, Neg):
-        return uses_index(node.operand)
-    if isinstance(node, Pow):
-        return uses_index(node.base) or uses_index(node.exponent)
-    if isinstance(node, Call):
-        return any(uses_index(arg) for arg in node.args)
-    return False

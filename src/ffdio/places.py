@@ -71,10 +71,6 @@ def parse_prime(text: str) -> PrimeDivisor:
     return PrimeDivisor(poly)
 
 
-def degree(p: PrimeDivisor) -> int:
-    return p.degree
-
-
 def ord_at(x: RatFunc, p: PrimeDivisor) -> int:
     """Order of vanishing of x at p (negative at poles); x must be nonzero."""
     if x.is_zero():

@@ -10,8 +10,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Union
 
-Rat = Fraction
-
 Scalar = Union[int, Fraction]
 
 
@@ -248,62 +246,6 @@ class Factorization:
         return acc
 
 
-def _degree_multiset_mod(coeffs_int: list[int], p: int):
-    """Multiset of irreducible factor degrees mod p, or None if p is unusable."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import (
-        gf_ddf_zassenhaus,
-        gf_from_int_poly,
-        gf_monic,
-        gf_sqf_p,
-    )
-
-    g = gf_from_int_poly(coeffs_int, p)
-    if len(g) != len(coeffs_int):
-        return None  # leading coefficient vanished mod p
-    _, g = gf_monic(g, p, ZZ)
-    if not gf_sqf_p(g, p, ZZ):
-        return None
-    degrees = []
-    for part, d in gf_ddf_zassenhaus(g, p, ZZ):
-        degrees.extend([d] * ((len(part) - 1) // d))
-    return degrees
-
-
-_PRETEST_PRIMES = (3, 5, 7, 11, 13, 17)
-
-
-def _provably_irreducible(coeffs_int: list[int]) -> bool:
-    """Quick irreducibility certificate from factor-degree patterns mod small primes.
-
-    The subset sums of the mod-p factor-degree multiset bound the possible
-    degrees of rational factors; if their intersection over a few good primes
-    is {0, n} the polynomial is irreducible over Q. One-sided: False means
-    "unknown", never "reducible".
-    """
-    n = len(coeffs_int) - 1
-    if n <= 1:
-        return n == 1
-    if coeffs_int[-1] == 0:
-        return False  # divisible by t
-    possible = None
-    used = 0
-    for p in _PRETEST_PRIMES:
-        degrees = _degree_multiset_mod(coeffs_int, p)
-        if degrees is None:
-            continue
-        sums = {0}
-        for d in degrees:
-            sums |= {s + d for s in sums}
-        possible = sums if possible is None else possible & sums
-        if possible == {0, n}:
-            return True
-        used += 1
-        if used >= 3:
-            break
-    return False
-
-
 @lru_cache(maxsize=4096)
 def factorize(p: Poly) -> Factorization:
     """Factor into a rational unit times monic irreducible polynomials over Q.
@@ -327,16 +269,13 @@ def factorize(p: Poly) -> Factorization:
     ints = [c // content for c in ints]
     unit = Fraction(content, den)
 
-    coeffs_desc = list(reversed(ints))  # highest degree first, for sympy
-    if _provably_irreducible(coeffs_desc):
-        pairs = [(ints, 1)]
-    else:
-        from sympy.polys.domains import ZZ
-        from sympy.polys.factortools import dup_factor_list
+    from sympy.polys.domains import ZZ
+    from sympy.polys.factortools import dup_factor_list
 
-        lead, sym_factors = dup_factor_list([ZZ(c) for c in coeffs_desc], ZZ)
-        unit *= Fraction(int(lead))
-        pairs = [(list(reversed([int(c) for c in f])), m) for f, m in sym_factors]
+    # sympy wants the highest degree first.
+    lead, sym_factors = dup_factor_list([ZZ(c) for c in reversed(ints)], ZZ)
+    unit *= Fraction(int(lead))
+    pairs = [(list(reversed([int(c) for c in f])), m) for f, m in sym_factors]
 
     factors = []
     for cs, mult in pairs:
@@ -475,6 +414,4 @@ def _require_ratfunc(x) -> RatFunc:
     return r
 
 
-RF_ZERO = RatFunc(ZERO)
-RF_ONE = RatFunc(ONE)
 RF_T = RatFunc(T)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence as Seq
 
 from . import linalg
-from .heights import LinearForm, ProjPoint, height_point, weil
+from .heights import LinearForm, ProjPoint, e_form, e_point, height_point, weil
 from .moving import NormalizedFamily, PointSequence, Sequence
 from .parser import EvalError
 from .places import PrimeDivisor, ord_at
@@ -60,11 +60,6 @@ class TransferMatrix:
 class DerivedFamily:
     transfer: TransferMatrix
     padding: tuple[int, ...]  # coordinate indices used as unit-vector forms
-
-    def padding_form(self, coord: int, dim: int) -> LinearForm:
-        coeffs = [RatFunc.constant(0)] * dim
-        coeffs[coord] = RatFunc.constant(1)
-        return LinearForm(tuple(coeffs))
 
 
 def _form_value(forms: NormalizedFamily, j: int, x: ProjPoint, alpha: int) -> RatFunc:
@@ -121,6 +116,25 @@ def invert_forms(
     return inv
 
 
+def check_inverse(
+    sel: PlaceSelection, alpha: int, forms: NormalizedFamily, inv: list[list[RatFunc]]
+) -> None:
+    """Re-verify inv * (selected coefficient matrix) == identity exactly."""
+    mat = [list(forms.eval_form(j, alpha).coeffs) for j in sel.J]
+    n = len(mat)
+    one = RatFunc.constant(1)
+    zero = RatFunc.constant(0)
+    for i in range(n):
+        for j in range(n):
+            acc = zero
+            for k in range(n):
+                acc = acc + inv[i][k] * mat[k][j]
+            if acc != (one if i == j else zero):
+                raise ExactIdentityError(
+                    f"inverse identity fails at place {sel.place}, index {alpha}"
+                )
+
+
 @dataclass(frozen=True)
 class LocalInequality:
     holds: bool
@@ -141,8 +155,6 @@ def check_local_inequality(
     the selected rows plus (q - M - 1) times the minimum order of the inverse
     matrix entries. Always holds when sel matches the order ranking at alpha.
     """
-    from .heights import e_point
-
     e = e_point(x, p)
     ords = [ord_at(_form_value(forms, j, x, alpha), p) for j in range(forms.q)]
     lhs = sum(e - o for o in ords)
@@ -151,11 +163,6 @@ def check_local_inequality(
     min_inv = min(inv_ords)
     rhs = sum(e - ords[j] for j in sel.J) + (forms.q - forms.m - 1) * min_inv
     return LocalInequality(holds=lhs >= rhs, lhs=lhs, rhs=rhs)
-
-
-def product_index(mu: int, nu: int, ls1: int) -> int:
-    """Coordinate position of b_mu * x_nu: the x_0 block comes first."""
-    return nu * ls1 + mu
 
 
 def product_point(b: Seq[Sequence], xs: PointSequence, alpha: int) -> ProjPoint:
@@ -192,19 +199,12 @@ def build_transfer(
     m = xs.m
     n_cols = (m + 1) * ls1
 
-    def product_value(alpha: int) -> list[RatFunc]:
-        bvals = [seq.eval(alpha) for seq in b]
-        xvals = [c.eval(alpha) for c in xs.coords]
-        return [bvals[mu] * xvals[nu] for nu in range(m + 1) for mu in range(ls1)]
-
     usable = [alpha for alpha in window if alpha not in _bad_indices(forms, xs, window)]
-    value_rows = {alpha: product_value(alpha) for alpha in usable}
+    value_rows = {alpha: product_point(b, xs, alpha).coords for alpha in usable}
 
     # Independence of the product sequences over the rational base field; the
     # stronger per-place row independence is re-verified in derive_and_pad.
-    from .moving import _rational_vectors
-
-    vectors = _rational_vectors([value_rows[a] for a in usable])
+    vectors = linalg.rational_vectors([value_rows[a] for a in usable])
     greedy = linalg.GreedyBasis()
     for vec in vectors:
         greedy.offer(vec)
@@ -342,8 +342,6 @@ def weil_transfer_check(
 ) -> WeilTransfer:
     """The Weil function of the product point against a derived form equals
     the base Weil function plus an explicit exact correction term."""
-    from .heights import e_form
-
     P = product_point(b, xs, alpha)
     derived_form = C.row_form(l, j, alpha)
     lam_derived = weil(P, derived_form, p)

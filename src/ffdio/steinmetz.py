@@ -11,8 +11,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence as Seq
 
-from .moving import Sequence, _exponent_vectors, sequence_rank_over_q
+from .linalg import GreedyBasis, rational_vectors
+from .moving import Sequence, sequence_rank_over_q
 from .ratfunc import RatFunc
+
+
+def _exponent_vectors(n: int, s: int) -> list[tuple[int, ...]]:
+    """All exponent vectors of length n with total degree exactly s, in
+    lexicographically decreasing order."""
+    if n == 1:
+        return [(s,)]
+    out = []
+    for first in range(s, -1, -1):
+        for rest in _exponent_vectors(n - 1, s - first):
+            out.append((first,) + rest)
+    return out
 
 
 def monomials(xi_count: int, s: int) -> list[tuple[int, ...]]:
@@ -47,9 +60,6 @@ class MonomialSpace:
     basis: tuple[int, ...]  # indices into generators, greedy independent prefix
     dim: int
     xis: tuple[Sequence, ...]
-
-    def basis_sequences(self) -> list[Sequence]:
-        return [monomial_sequence(self.xis, self.generators[i]) for i in self.basis]
 
 
 def dim_L(xis: Seq[Sequence], s: int, window: Seq[int]) -> MonomialSpace:
@@ -126,13 +136,10 @@ def extend_basis(space_s: MonomialSpace, space_s1: MonomialSpace) -> list[tuple[
         vec[one_idx] += 1
         lifted.append(tuple(vec))
 
-    from .linalg import GreedyBasis
-    from .moving import _rational_vectors
-
     candidates = lifted + [g for g in space_s1.generators if g not in set(lifted)]
     seqs = [monomial_sequence(xis, g) for g in candidates]
     values_per_alpha = [[s.eval(alpha) for s in seqs] for alpha in window]
-    vectors = _rational_vectors(values_per_alpha)
+    vectors = rational_vectors(values_per_alpha)
 
     greedy = GreedyBasis()
     chosen: list[tuple[int, ...]] = []

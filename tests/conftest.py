@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations
 
 from hypothesis import strategies as st
 
@@ -24,3 +25,18 @@ def ratfuncs(max_degree: int = 5, nonzero: bool = False):
 
 def fractions():
     return st.builds(Fraction, small_ints, st.integers(1, 9))
+
+
+def det_cofactor(rows):
+    """Leibniz-formula determinant: a slow, independent oracle for elimination."""
+    n = len(rows)
+    total = None
+    for perm in permutations(range(n)):
+        inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = rows[0][perm[0]]
+        for i in range(1, n):
+            term = term * rows[i][perm[i]]
+        if inv % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total

@@ -10,13 +10,14 @@ from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
-from ffdio import linalg
 from ffdio.harness import admissible_subsets, generate, parse_config, run_reduction, run_verify, run_wang_check
 from ffdio.heights import LinearForm, ProjPoint, height_form, height_point, weil, weil_total
 from ffdio.moving import Sequence, window_range
 from ffdio.places import INFINITY, PrimeDivisor, check_sum_formula
 from ffdio.ratfunc import Poly, RatFunc
 from ffdio.steinmetz import choose_s, dim_L
+
+from conftest import det_cofactor
 
 
 @contextmanager
@@ -216,7 +217,7 @@ def _minor_oracle(forms, m):
         for subset in combinations(range(len(forms)), size):
             mat = [list(forms[j].coeffs) for j in subset]
             if any(
-                linalg.det_cofactor([[row[c] for c in cols] for row in mat]) != 0
+                det_cofactor([[row[c] for c in cols] for row in mat]) != 0
                 for cols in combinations(range(ncols), size)
             ):
                 out.append(subset)

@@ -130,6 +130,14 @@ class TestExperimentCommands:
         assert code == 3
         assert "refused" in err and "smallness" in err
 
+    def test_overrides_are_validated(self, capsys, fermat_config):
+        code, out, err = run_cli(capsys, "verify", fermat_config, "--epsilon", "-5")
+        assert code == 1 and out == ""
+        assert "epsilon: must be positive" in err
+        code, out, err = run_cli(capsys, "verify", fermat_config, "--infinite-subset", "2")
+        assert code == 1 and out == ""
+        assert "infinite_subset" in err
+
     def test_config_error_exit_1(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{\"M\": 1}")

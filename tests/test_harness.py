@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from ffdio import linalg
 from ffdio.harness import (
     ConfigError,
     ProbeRefusal,
@@ -16,6 +15,8 @@ from ffdio.harness import (
     run_verify,
     run_wang_check,
 )
+
+from conftest import det_cofactor
 
 
 def base_config(**overrides):
@@ -155,14 +156,6 @@ class TestRunVerify:
         assert "smallness" in str(exc.value)
         assert not exc.value.probes["smallness"]["holds"]
 
-    def test_threads_match_serial(self):
-        cfg = generate("fixed-fermat", window=(1, 25))
-        serial = run_verify(cfg)
-        import dataclasses
-
-        threaded = run_verify(dataclasses.replace(cfg, threads=4))
-        assert serial.to_csv() == threaded.to_csv()
-
 
 class TestRunWang:
     def test_rejects_moving_coefficients(self):
@@ -207,7 +200,7 @@ def _bruteforce_subsets(forms, m):
             independent = False
             for cols in combinations(range(ncols), size):
                 minor = [[row[c] for c in cols] for row in mat]
-                if linalg.det_cofactor(minor) != 0:
+                if det_cofactor(minor) != 0:
                     independent = True
                     break
             if independent:
@@ -237,6 +230,31 @@ class TestRunReduction:
         report = run_reduction(cfg)
         assert report.verdict == "PASS"
         assert report.extra["l_s1"] == 2  # basis {1, t^ilog2(a)}
+        # The bound is taken in h(P) = h(x) + h(b) with h(b) = ilog2(alpha);
+        # the ratio stays LHS / h(x).
+        slope = Fraction(report.extra["slope"])
+        included = [r for r in report.rows if not r.excluded]
+        assert included
+        for r in included:
+            h_b = r.alpha.bit_length() - 1
+            assert r.rhs == slope * (r.h_x + h_b) + report.fitted_constant
+            assert r.ratio == Fraction(r.lhs, r.h_x)
+
+    def test_index_that_fails_to_evaluate_is_excluded(self):
+        cfg = parse_config(
+            base_config(
+                q=4,
+                points=["1", "t^a/(a-50)"],
+                hyperplanes=[["1", "0"], ["0", "1"], ["1", "t^ilog2(a)"], ["1", "-1"]],
+                window=[40, 60],
+            ),
+            "reduce",
+        )
+        report = run_reduction(cfg)
+        row = next(r for r in report.rows if r.alpha == 50)
+        assert row.excluded and "index 50" in row.note
+        assert 50 not in report.extra["stable_indices"]
+        assert report.verdict == run_verify(cfg).verdict == "PASS"
 
 
 class TestReports:

@@ -1,0 +1,67 @@
+"""No ffdio module reaches into another module's private (underscore) names.
+
+Stdlib only: every source file under src/ffdio is parsed with `ast`, and
+both `from .mod import _name` and `mod._name` on an imported ffdio module
+count as a violation.
+"""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ffdio"
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _source(node: ast.ImportFrom):
+    """The ffdio module an import reads from ("" for the package), or None."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module.split(".")[0] == "ffdio":
+        return node.module.partition(".")[2]
+    return None
+
+
+def violations(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    modules = set()  # names bound to ffdio modules by `from . import linalg`
+    for node in ast.walk(tree):
+        source = _source(node) if isinstance(node, ast.ImportFrom) else None
+        if source is None:
+            continue
+        for alias in node.names:
+            if not source:
+                modules.add(alias.asname or alias.name)
+            if source != path.stem and _private(alias.name):
+                found.append(f"{path.name}:{node.lineno} imports {alias.name} from {source or 'ffdio'}")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in modules
+            and _private(node.attr)
+        ):
+            found.append(f"{path.name}:{node.lineno} uses {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_cross_module_private_imports():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    found = [v for path in files for v in violations(path)]
+    assert not found, "\n".join(found)
+
+
+def test_checker_sees_a_private_import(tmp_path):
+    path = tmp_path / "steinmetz.py"
+    path.write_text(
+        "from . import linalg\n"
+        "from .moving import Sequence, _exponent_vectors\n"
+        "from ffdio.moving import _rational_vectors\n"
+        "x = linalg._copy\n"
+    )
+    found = violations(path)
+    assert len(found) == 3
+    assert "_exponent_vectors" in found[0] and "_rational_vectors" in found[1]

@@ -6,7 +6,6 @@ from ffdio.moving import (
     MovingHyperplaneFamily,
     PointSequence,
     Sequence,
-    coherence_probe,
     general_position_check,
     nondegeneracy_probe,
     normalize_xi,
@@ -123,14 +122,6 @@ class TestProbes:
         assert nondegeneracy_probe(xs, window_range(1, 10)).holds
         dep = PointSequence.from_texts(["t^a", "2 * t^a"])
         assert not nondegeneracy_probe(dep, window_range(1, 10)).holds
-
-    def test_coherence(self):
-        fam = MovingHyperplaneFamily.from_texts([["1", "t^ilog2(a)"], ["0", "1"]])
-        assert coherence_probe(fam, window_range(4, 20), degree_bound=2).holds
-        # A coefficient vanishing on a sizable part of the window is flagged.
-        mixed = MovingHyperplaneFamily.from_texts([["1", "floor_div(a, 8)"], ["0", "1"]])
-        verdict = coherence_probe(mixed, window_range(1, 20), degree_bound=1)
-        assert not verdict.holds
 
 
 class TestRankOverQ:

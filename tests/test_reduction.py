@@ -83,10 +83,6 @@ class TestLocalInequality:
 
 
 class TestTransfer:
-    def test_product_index_order(self):
-        # [b_1 x_0 : b_2 x_0 : b_1 x_1 : b_2 x_1]
-        assert [reduction.product_index(mu, nu, 2) for nu in (0, 1) for mu in (0, 1)] == [0, 1, 2, 3]
-
     def test_fermat_pipeline(self):
         forms, xs = fermat_fixture()
         b, ls, ls1 = fermat_basis(forms)
@@ -126,6 +122,16 @@ class TestTransfer:
         )
         with pytest.raises(reduction.ExactIdentityError):
             reduction._verify_transfer_identity(bad, b, forms, xs, 4)
+
+    def test_tampered_inverse_detected(self):
+        forms, xs = fermat_fixture()
+        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
+        inv = reduction.invert_forms(sel, 4, forms)
+        reduction.check_inverse(sel, 4, forms, inv)
+        bad = [row[:] for row in inv]
+        bad[0][0] = bad[0][0] + 1
+        with pytest.raises(reduction.ExactIdentityError, match="place t, index 4"):
+            reduction.check_inverse(sel, 4, forms, bad)
 
 
 class TestHeights:
