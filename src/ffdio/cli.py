@@ -13,7 +13,7 @@ from fractions import Fraction
 from .harness import ConfigError, ProbeRefusal, generate, load_experiment, run
 from .heights import LinearForm, ProjPoint, height_point, weil
 from .moving import Sequence, window_range
-from .parser import ParseError, parse_ratfunc
+from .parser import EvalError, ParseError, parse_ratfunc
 from .places import divisor_of, ord_at, parse_prime
 from .ratfunc import RatFunc
 from .steinmetz import choose_s, dim_L
@@ -172,7 +172,7 @@ def main(argv=None) -> int:
             cfg = generate(args.profile, **params)
             print(json.dumps(cfg.to_dict(), indent=2))
             return 0
-    except (ConfigError, ParseError, ValueError) as exc:
+    except (ConfigError, EvalError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import linalg
-from .heights import LinearForm, PlaceSet, height_point, proximity, weil
+from .heights import LinearForm, PlaceSet, e_form, e_point, height_point, proximity, weil_at
 from .moving import (
     MovingHyperplaneFamily,
     PointSequence,
@@ -35,14 +35,12 @@ from .reduction import (
     ExactIdentityError,
     PlaceSelection,
     build_transfer,
-    check_inverse,
     check_local_inequality,
+    check_transfer,
     derive_and_pad,
     height_P_decomposition,
-    invert_forms,
-    select_J,
     stabilize_J,
-    weil_transfer_check,
+    transfer_site,
 )
 from .steinmetz import choose_s, dim_L, extend_basis, monomial_sequence
 
@@ -441,7 +439,7 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
         raise ConfigError(f"q: verify runs need q > M+1, got q={cfg.q}, M={cfg.m}")
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
-    S = cfg.place_set()
+    places = cfg.place_set().sorted()
     probes, _ = _run_probes(cfg, fam, xs, strict_gp=True)
     window = cfg.window_indices()
 
@@ -451,12 +449,14 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
         except EvalError as exc:
             return _excluded(alpha, cfg.q, str(exc))
         hx = height_point(x)
+        e_x = {p: e_point(x, p) for p in places}
         lams = []
         for j in range(cfg.q):
             form = fam.eval_form(j, alpha)
-            if form.apply(x).is_zero():
+            value = form.apply(x)
+            if value.is_zero():
                 return _excluded(alpha, cfg.q, f"point on hyperplane {j}", hx)
-            lams.append(proximity(x, form, S))
+            lams.append(sum(weil_at(value, e_x[p], e_form(form, p), p) for p in places))
         if hx == 0:
             return ReportRow(alpha, hx, tuple(lams), sum(lams), None, None, True, "h(x)=0")
         return ReportRow(alpha, hx, tuple(lams), sum(lams), None, None, False)
@@ -481,7 +481,6 @@ def run_wang_check(cfg: ExperimentConfig) -> VerificationReport:
     """Check the fixed-target bound with the max over independent subsets."""
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
-    S = cfg.place_set()
     window = cfg.window_indices()
     for j in range(cfg.q):
         for l in range(cfg.m + 1):
@@ -501,10 +500,16 @@ def run_wang_check(cfg: ExperimentConfig) -> VerificationReport:
         except EvalError as exc:
             return _excluded(alpha, cfg.q, str(exc))
         hx = height_point(x)
-        for j, form in enumerate(forms):
-            if form.apply(x).is_zero():
+        values = [form.apply(x) for form in forms]
+        for j, value in enumerate(values):
+            if value.is_zero():
                 return _excluded(alpha, cfg.q, f"point on hyperplane {j}", hx)
-        local = {(j, p): weil(x, forms[j], p) for j in range(cfg.q) for p in places}
+        e_x = {p: e_point(x, p) for p in places}
+        local = {
+            (j, p): weil_at(values[j], e_x[p], e_form(forms[j], p), p)
+            for j in range(cfg.q)
+            for p in places
+        }
         lhs = sum(
             max(sum(local[(j, p)] for j in subset) for subset in subsets) for p in places
         )
@@ -564,36 +569,26 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
 
     places = cfg.places()
     selections: dict[PrimeDivisor, PlaceSelection] = {}
+    lam_sel: dict[int, int] = {}  # sum over places and l of lambda_p(x, L_{J[l]})
+    local_checks = 0
     for p in places:
         sel = stabilize_J(p, usable, forms, xs)
         C = build_transfer(sel, b, ls, forms, xs, usable)
-        derive_and_pad(C)
-        selections[p] = sel
         for alpha in sel.stable_subset:
-            check_inverse(sel, alpha, forms, invert_forms(sel, alpha, forms))
-            for l in range(cfg.m + 1):
-                for jj in range(ls):
-                    weil_transfer_check(p, alpha, l, jj, C, b, forms, xs)
-
-    local_checks = 0
-    for p in places:
-        for alpha in usable:
-            x = xs.eval_point(alpha)
-            try:
-                J = select_J(p, alpha, forms, x)
-            except ValueError:
-                continue  # point on a hyperplane at alpha
-            sel = PlaceSelection(p, J, (alpha,))
-            res = check_local_inequality(p, alpha, sel, forms, x)
+            site = transfer_site(p, alpha, sel, b, forms, xs)
+            check_transfer(site, C)
+            lam_sel[alpha] = lam_sel.get(alpha, 0) + sum(site.base_lams)
+        derive_and_pad(C)
+        for loc in sel.local:
+            res = check_local_inequality(loc, forms, xs.eval_point(loc.alpha))
             if not res.holds:
                 raise ExactIdentityError(
-                    f"local counting inequality fails at place {p}, index {alpha}"
+                    f"local counting inequality fails at place {p}, index {loc.alpha}"
                 )
             local_checks += 1
+        selections[p] = sel
 
-    stable_common = set(usable)
-    for sel in selections.values():
-        stable_common &= set(sel.stable_subset)
+    stable_common = set(usable).intersection(*(sel.stable_subset for sel in selections.values()))
     S = cfg.place_set()
 
     rows: list[ReportRow] = []
@@ -605,14 +600,9 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
             continue
         x = xs.eval_point(alpha)
         split = height_P_decomposition(b, xs, alpha)
-        lam_sel = 0
-        for p in places:
-            sel = selections[p]
-            for l in range(cfg.m + 1):
-                lam_sel += weil(x, forms.eval_form(sel.J[l], alpha), p)
         lams = tuple(proximity(x, forms.eval_form(j, alpha), S) for j in range(cfg.q))
         h_product[alpha] = split.h_product
-        rows.append(ReportRow(alpha, split.h_point, lams, ls * lam_sel, None, None, False))
+        rows.append(ReportRow(alpha, split.h_point, lams, ls * lam_sel[alpha], None, None, False))
 
     slope = (cfg.m + 1) * ls1 + cfg.delta
     extra = {

@@ -107,25 +107,35 @@ def height_form(L: LinearForm) -> int:
     return _height(L.coeffs)
 
 
-def weil(x: ProjPoint, L: LinearForm, p: PrimeDivisor) -> int:
-    """Local proximity of x to the hyperplane L = 0 at p; nonnegative."""
+def form_value(x: ProjPoint, L: LinearForm) -> RatFunc:
+    """L(x), which must be nonzero for a Weil function of x at L to exist."""
     value = L.apply(x)
     if value.is_zero():
         raise ValueError("the point lies on the hyperplane; Weil function undefined")
-    lam = (ord_at(value, p) - e_point(x, p) - e_form(L, p)) * p.degree
+    return value
+
+
+def weil_at(value: RatFunc, e_x: int, e_L: int, p: PrimeDivisor) -> int:
+    """The Weil function at p from the value L(x), e_p(x) and e_p(L), which the
+    caller computes once for all the places or forms it sums over."""
+    lam = (ord_at(value, p) - e_x - e_L) * p.degree
     assert lam >= 0, "Weil function must be nonnegative"
     return lam
 
 
+def weil(x: ProjPoint, L: LinearForm, p: PrimeDivisor) -> int:
+    """Local proximity of x to the hyperplane L = 0 at p; nonnegative."""
+    return weil_at(form_value(x, L), e_point(x, p), e_form(L, p), p)
+
+
 def weil_total(x: ProjPoint, L: LinearForm) -> int:
     """Sum of the Weil function over all places; equals h(x) + h(L) exactly."""
-    value = L.apply(x)
-    if value.is_zero():
-        raise ValueError("the point lies on the hyperplane; Weil function undefined")
+    value = form_value(x, L)
     primes = _support(x.coords) | _support(L.coeffs) | _support([value])
-    return sum(weil(x, L, p) for p in primes)
+    return sum(weil_at(value, e_point(x, p), e_form(L, p), p) for p in primes)
 
 
 def proximity(x: ProjPoint, L: LinearForm, S: PlaceSet) -> int:
     """Sum of the Weil function over the places of S."""
-    return sum(weil(x, L, p) for p in S.sorted())
+    value = form_value(x, L)
+    return sum(weil_at(value, e_point(x, p), e_form(L, p), p) for p in S.sorted())

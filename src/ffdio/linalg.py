@@ -55,28 +55,21 @@ def rank(rows: Sequence[Sequence[F]]) -> int:
     return len(rref(rows)[1])
 
 
-def solve_particular(rows: Sequence[Sequence[F]], rhs: Sequence[F]) -> list[F]:
-    """Any exact solution of rows @ x = rhs (free variables set to zero)."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+def solve(rows: Sequence[Sequence[F]], rhs: Sequence[Sequence[F]]) -> Matrix:
+    """X with rows @ X == rhs, free variables set to zero.
+
+    `rhs` has one row per equation and one column per right-hand side; the
+    augmented matrix [rows | rhs] is row-reduced once for all of them.
+    """
     ncols = len(rows[0])
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
+    reduced, pivots = rref([list(a) + list(b) for a, b in zip(rows, rhs)])
+    if pivots and pivots[-1] >= ncols:
         raise InconsistentSystem("no exact solution")
-    zero = rhs[0] - rhs[0]
-    x = [zero] * ncols
+    zero = rhs[0][0] - rhs[0][0]
+    x = [[zero] * len(rhs[0]) for _ in range(ncols)]
     for r, pc in enumerate(pivots):
-        x[pc] = reduced[r][ncols]
+        x[pc] = reduced[r][ncols:]
     return x
-
-
-def inverse(rows: Sequence[Sequence[F]], one: F) -> Matrix:
-    n = len(rows)
-    zero = one - one
-    aug = [list(r) + [one if i == j else zero for j in range(n)] for i, r in enumerate(rows)]
-    reduced, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
 
 
 def det(rows: Sequence[Sequence[F]]):

@@ -9,10 +9,10 @@ bug, not a numerical event.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence as Seq
+from typing import Optional, Sequence as Seq
 
 from . import linalg
-from .heights import LinearForm, ProjPoint, e_form, e_point, height_point, weil
+from .heights import LinearForm, ProjPoint, e_form, e_point, form_value, height_point, weil_at
 from .moving import NormalizedFamily, PointSequence, Sequence
 from .parser import EvalError
 from .places import PrimeDivisor, ord_at
@@ -24,10 +24,23 @@ class ExactIdentityError(AssertionError):
 
 
 @dataclass(frozen=True)
+class LocalSelection:
+    """The orders at one (place, index): ord_p of every form value at the
+    point, and the M+1 rows J of largest order, by decreasing order (ties
+    broken by the smaller row index)."""
+
+    place: PrimeDivisor
+    alpha: int
+    ords: tuple[int, ...]
+    J: tuple[int, ...]
+
+
+@dataclass(frozen=True)
 class PlaceSelection:
     place: PrimeDivisor
     J: tuple[int, ...]  # M+1 row indices (0-based), decreasing local order
     stable_subset: tuple[int, ...]
+    local: tuple[LocalSelection, ...]  # every window index off all hyperplanes
 
 
 @dataclass(frozen=True)
@@ -45,10 +58,6 @@ class TransferMatrix:
     m: int
 
     @property
-    def n_rows(self) -> int:
-        return (self.m + 1) * self.ls
-
-    @property
     def n_cols(self) -> int:
         return (self.m + 1) * self.ls1
 
@@ -62,23 +71,14 @@ class DerivedFamily:
     padding: tuple[int, ...]  # coordinate indices used as unit-vector forms
 
 
-def _form_value(forms: NormalizedFamily, j: int, x: ProjPoint, alpha: int) -> RatFunc:
-    value = forms.eval_form(j, alpha).apply(x)
-    if value.is_zero():
-        raise ValueError(f"point lies on hyperplane {j} at index {alpha}")
-    return value
-
-
 def select_J(
     p: PrimeDivisor, alpha: int, forms: NormalizedFamily, x: ProjPoint
-) -> tuple[int, ...]:
-    """The M+1 row indices with largest ord_p of the form value at x, ordered
-    by decreasing order; ties broken by smaller row index."""
-    ords = [
-        (ord_at(_form_value(forms, j, x, alpha), p), j) for j in range(forms.q)
-    ]
-    ords.sort(key=lambda oj: (-oj[0], oj[1]))
-    return tuple(j for _, j in ords[: forms.m + 1])
+) -> LocalSelection:
+    """The form orders at (p, alpha) and the selection J they give; raises
+    ValueError when the point lies on a hyperplane."""
+    ords = tuple(ord_at(form_value(x, forms.eval_form(j, alpha)), p) for j in range(forms.q))
+    ranked = sorted(range(forms.q), key=lambda j: (-ords[j], j))
+    return LocalSelection(p, alpha, ords, tuple(ranked[: forms.m + 1]))
 
 
 def stabilize_J(
@@ -89,49 +89,50 @@ def stabilize_J(
 ) -> PlaceSelection:
     """Group window indices by their selection outcome; keep the largest group
     (ties: lexicographically smallest index tuple)."""
-    groups: dict[tuple[int, ...], list[int]] = {}
+    local = []
     for alpha in window:
         try:
-            J = select_J(p, alpha, forms, xs.eval_point(alpha))
+            local.append(select_J(p, alpha, forms, xs.eval_point(alpha)))
         except (ValueError, EvalError):
             continue
-        groups.setdefault(J, []).append(alpha)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for loc in local:
+        groups.setdefault(loc.J, []).append(loc.alpha)
     if not groups:
         raise ValueError("no window index admits a selection")
     best = min(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-    return PlaceSelection(place=p, J=best[0], stable_subset=tuple(sorted(best[1])))
+    return PlaceSelection(p, best[0], tuple(sorted(best[1])), tuple(local))
 
 
-def invert_forms(
-    sel: PlaceSelection, alpha: int, forms: NormalizedFamily
-) -> list[list[RatFunc]]:
+def _selected_matrix(loc: LocalSelection, forms: NormalizedFamily) -> list[list[RatFunc]]:
+    return [list(forms.eval_form(j, loc.alpha).coeffs) for j in loc.J]
+
+
+def invert_forms(loc: LocalSelection, forms: NormalizedFamily) -> list[list[RatFunc]]:
     """Exact inverse over Q(t) of the coefficient matrix of the selected rows."""
-    mat = [list(forms.eval_form(j, alpha).coeffs) for j in sel.J]
+    mat = _selected_matrix(loc, forms)
+    n = len(mat)
+    identity = [[RatFunc.constant(int(i == k)) for k in range(n)] for i in range(n)]
     try:
-        inv = linalg.inverse(mat, RatFunc.constant(1))
-    except ValueError as exc:
+        return linalg.solve(mat, identity)
+    except linalg.InconsistentSystem as exc:
         raise ValueError(
-            f"selected rows are singular at index {alpha} (general position fails)"
+            f"selected rows are singular at index {loc.alpha} (general position fails)"
         ) from exc
-    return inv
 
 
 def check_inverse(
-    sel: PlaceSelection, alpha: int, forms: NormalizedFamily, inv: list[list[RatFunc]]
+    loc: LocalSelection, forms: NormalizedFamily, inv: list[list[RatFunc]]
 ) -> None:
     """Re-verify inv * (selected coefficient matrix) == identity exactly."""
-    mat = [list(forms.eval_form(j, alpha).coeffs) for j in sel.J]
+    mat = _selected_matrix(loc, forms)
     n = len(mat)
-    one = RatFunc.constant(1)
-    zero = RatFunc.constant(0)
     for i in range(n):
         for j in range(n):
-            acc = zero
-            for k in range(n):
-                acc = acc + inv[i][k] * mat[k][j]
-            if acc != (one if i == j else zero):
+            acc = sum((inv[i][k] * mat[k][j] for k in range(n)), RatFunc.constant(0))
+            if acc != RatFunc.constant(int(i == j)):
                 raise ExactIdentityError(
-                    f"inverse identity fails at place {sel.place}, index {alpha}"
+                    f"inverse identity fails at place {loc.place}, index {loc.alpha}"
                 )
 
 
@@ -143,25 +144,22 @@ class LocalInequality:
 
 
 def check_local_inequality(
-    p: PrimeDivisor,
-    alpha: int,
-    sel: PlaceSelection,
-    forms: NormalizedFamily,
-    x: ProjPoint,
+    loc: LocalSelection, forms: NormalizedFamily, x: ProjPoint
 ) -> LocalInequality:
-    """Exact local counting bound at (p, alpha).
+    """Exact local counting bound at (p, alpha) = (loc.place, loc.alpha).
 
     sum over all rows of (e_p(x) - ord_p L_j(x)) is at least the same sum over
     the selected rows plus (q - M - 1) times the minimum order of the inverse
-    matrix entries. Always holds when sel matches the order ranking at alpha.
+    matrix entries. The inverse is re-verified by `check_inverse` before its
+    orders are used. Always holds, since loc.J is the order ranking at alpha.
     """
+    p = loc.place
     e = e_point(x, p)
-    ords = [ord_at(_form_value(forms, j, x, alpha), p) for j in range(forms.q)]
-    lhs = sum(e - o for o in ords)
-    inv = invert_forms(sel, alpha, forms)
-    inv_ords = [ord_at(v, p) for row in inv for v in row if not v.is_zero()]
-    min_inv = min(inv_ords)
-    rhs = sum(e - ords[j] for j in sel.J) + (forms.q - forms.m - 1) * min_inv
+    lhs = sum(e - o for o in loc.ords)
+    inv = invert_forms(loc, forms)
+    check_inverse(loc, forms, inv)
+    min_inv = min(ord_at(v, p) for row in inv for v in row if not v.is_zero())
+    rhs = sum(e - loc.ords[j] for j in loc.J) + (forms.q - forms.m - 1) * min_inv
     return LocalInequality(holds=lhs >= rhs, lhs=lhs, rhs=rhs)
 
 
@@ -173,14 +171,6 @@ def product_point(b: Seq[Sequence], xs: PointSequence, alpha: int) -> ProjPoint:
     return ProjPoint(tuple(coords))
 
 
-def h_sequence(forms: NormalizedFamily, j: int, xs: PointSequence) -> Sequence:
-    """alpha -> value of the normalized row j at the point: sum_l xi_{j,l} x_l."""
-    def fn(alpha: int) -> RatFunc:
-        return forms.eval_form(j, alpha).apply(xs.eval_point(alpha))
-
-    return Sequence(fn, max(c.alpha_min for c in xs.coords), f"h_{j}")
-
-
 def build_transfer(
     sel: PlaceSelection,
     b: Seq[Sequence],
@@ -190,8 +180,12 @@ def build_transfer(
     window: Seq[int],
 ) -> TransferMatrix:
     """Solve exactly for constant rows expressing b_j * h_{J[l]} in the
-    products b_mu * x_nu, then re-verify the identity at every stable index.
+    products b_mu * x_nu, where h_k = L_k(x) is the value of normalized row k.
 
+    `window` holds the usable indices: every point evaluates and no row has a
+    normalisation exception there. The stable system is row-reduced once with
+    all (M+1) * l(s) right-hand sides, column l * ls + j for row (l, j).
+    `check_transfer` re-verifies the identities at each stable index.
     Requires the products to be independent over Q(t) on the window with
     constant coefficients (the operational nondegeneracy hypothesis).
     """
@@ -199,12 +193,11 @@ def build_transfer(
     m = xs.m
     n_cols = (m + 1) * ls1
 
-    usable = [alpha for alpha in window if alpha not in _bad_indices(forms, xs, window)]
-    value_rows = {alpha: product_point(b, xs, alpha).coords for alpha in usable}
+    value_rows = {alpha: product_point(b, xs, alpha).coords for alpha in window}
 
     # Independence of the product sequences over the rational base field; the
     # stronger per-place row independence is re-verified in derive_and_pad.
-    vectors = linalg.rational_vectors([value_rows[a] for a in usable])
+    vectors = linalg.rational_vectors([value_rows[a] for a in window])
     greedy = linalg.GreedyBasis()
     for vec in vectors:
         greedy.offer(vec)
@@ -214,56 +207,75 @@ def build_transfer(
             "window (nondegeneracy failure)"
         )
 
-    solve_on = list(sel.stable_subset)
-    rows: list[tuple[Sequence, ...]] = []
-    for l in range(m + 1):
-        h = h_sequence(forms, sel.J[l], xs)
-        for j in range(ls):
-            targets = [b[j].eval(alpha) * h.eval(alpha) for alpha in solve_on]
-            mat = [value_rows[alpha] for alpha in solve_on]
-            try:
-                coeffs = linalg.solve_particular(mat, targets)
-            except linalg.InconsistentSystem as exc:
-                raise ValueError(
-                    "transfer system inconsistent on the stable subset; "
-                    "enlarge the window"
-                ) from exc
-            rows.append(tuple(Sequence.constant(c) for c in coeffs))
-
-    matrix = TransferMatrix(sel=sel, rows=tuple(rows), ls=ls, ls1=ls1, m=m)
+    targets = []
     for alpha in sel.stable_subset:
-        _verify_transfer_identity(matrix, b, forms, xs, alpha)
-    return matrix
+        x = xs.eval_point(alpha)
+        h = [forms.eval_form(k, alpha).apply(x) for k in sel.J]
+        targets.append([b[j].eval(alpha) * h[l] for l in range(m + 1) for j in range(ls)])
+    try:
+        coeffs = linalg.solve([value_rows[a] for a in sel.stable_subset], targets)
+    except linalg.InconsistentSystem as exc:
+        raise ValueError(
+            "transfer system inconsistent on the stable subset; enlarge the window"
+        ) from exc
+    rows = tuple(
+        tuple(Sequence.constant(row[c]) for row in coeffs) for c in range((m + 1) * ls)
+    )
+    return TransferMatrix(sel=sel, rows=rows, ls=ls, ls1=ls1, m=m)
 
 
-def _bad_indices(forms: NormalizedFamily, xs: PointSequence, window: Seq[int]) -> set[int]:
-    bad = set(forms.all_exceptions())
-    for alpha in window:
-        try:
-            xs.eval_point(alpha)
-        except EvalError:
-            bad.add(alpha)
-    return bad
+@dataclass(frozen=True)
+class TransferSite:
+    """What the transfer identities read at one (place, index), computed once
+    for all rows (l, j): the product point P and e_p(P), the basis values and
+    their orders at p (None where a value vanishes), and per selected row l
+    the value h_l = L_{J[l]}(x), e_p(L_{J[l]}) and the Weil value of x at it."""
+
+    place: PrimeDivisor
+    alpha: int
+    P: ProjPoint
+    e_P: int
+    b_values: tuple[RatFunc, ...]
+    b_ords: tuple[Optional[int], ...]
+    base_values: tuple[RatFunc, ...]
+    base_e: tuple[int, ...]
+    base_lams: tuple[int, ...]
 
 
-def _verify_transfer_identity(
-    C: TransferMatrix,
+def transfer_site(
+    p: PrimeDivisor,
+    alpha: int,
+    sel: PlaceSelection,
     b: Seq[Sequence],
     forms: NormalizedFamily,
     xs: PointSequence,
-    alpha: int,
-) -> None:
+) -> TransferSite:
+    """The TransferSite of (p, alpha) for the selection sel and the basis b."""
+    x = xs.eval_point(alpha)
+    e_x = e_point(x, p)
     P = product_point(b, xs, alpha)
+    b_values = tuple(seq.eval(alpha) for seq in b)
+    b_ords = tuple(None if v.is_zero() else ord_at(v, p) for v in b_values)
+    base = tuple(forms.eval_form(k, alpha) for k in sel.J)
+    values = tuple(form_value(x, L) for L in base)
+    base_e = tuple(e_form(L, p) for L in base)
+    lams = tuple(weil_at(v, e_x, e, p) for v, e in zip(values, base_e))
+    return TransferSite(p, alpha, P, e_point(P, p), b_values, b_ords, values, base_e, lams)
+
+
+def check_transfer(site: TransferSite, C: TransferMatrix) -> None:
+    """Re-verify both transfer identities at one (place, index) for every row
+    (l, j): C_{l,j}(P) = b_j * h_l exactly, then the Weil transfer."""
     for l in range(C.m + 1):
-        h_val = forms.eval_form(C.sel.J[l], alpha).apply(xs.eval_point(alpha))
         for j in range(C.ls):
-            lhs = C.row_form(l, j, alpha).apply(P)
-            rhs = b[j].eval(alpha) * h_val
-            if lhs != rhs:
+            derived = C.row_form(l, j, site.alpha)
+            value = derived.apply(site.P)
+            if value != site.b_values[j] * site.base_values[l]:
                 raise ExactIdentityError(
-                    f"transfer identity fails at place {C.sel.place}, index {alpha}, "
+                    f"transfer identity fails at place {site.place}, index {site.alpha}, "
                     f"row ({l}, {j})"
                 )
+            weil_transfer_check(site, l, j, derived, value)
 
 
 def derive_and_pad(C: TransferMatrix) -> DerivedFamily:
@@ -331,40 +343,23 @@ class WeilTransfer:
 
 
 def weil_transfer_check(
-    p: PrimeDivisor,
-    alpha: int,
-    l: int,
-    j: int,
-    C: TransferMatrix,
-    b: Seq[Sequence],
-    forms: NormalizedFamily,
-    xs: PointSequence,
+    site: TransferSite, l: int, j: int, derived: LinearForm, value: RatFunc
 ) -> WeilTransfer:
-    """The Weil function of the product point against a derived form equals
-    the base Weil function plus an explicit exact correction term."""
-    P = product_point(b, xs, alpha)
-    derived_form = C.row_form(l, j, alpha)
-    lam_derived = weil(P, derived_form, p)
-
-    x = xs.eval_point(alpha)
-    base_form = forms.eval_form(C.sel.J[l], alpha)
-    lam_base = weil(x, base_form, p)
-
-    b_ords = [ord_at(seq.eval(alpha), p) for seq in b if not seq.eval(alpha).is_zero()]
-    b_j_val = b[j].eval(alpha)
-    if b_j_val.is_zero():
-        raise ValueError(f"basis element {j} vanishes at index {alpha}")
-    delta = (
-        e_form(base_form, p)
-        + ord_at(b_j_val, p)
-        - min(b_ords)
-        - e_form(derived_form, p)
-    ) * p.degree
-
+    """The Weil function of the product point against the derived form of row
+    (l, j) equals the base Weil function plus an explicit exact correction
+    term. `value` is derived(P), computed once by the caller."""
+    p = site.place
+    if site.b_ords[j] is None:
+        raise ValueError(f"basis element {j} vanishes at index {site.alpha}")
+    e_derived = e_form(derived, p)
+    lam_derived = weil_at(value, site.e_P, e_derived, p)
+    lam_base = site.base_lams[l]
+    b_min = min(o for o in site.b_ords if o is not None)
+    delta = (site.base_e[l] + site.b_ords[j] - b_min - e_derived) * p.degree
     holds = lam_derived == lam_base + delta
     if not holds:
         raise ExactIdentityError(
-            f"Weil transfer fails at place {p}, index {alpha}, row ({l}, {j}): "
+            f"Weil transfer fails at place {p}, index {site.alpha}, row ({l}, {j}): "
             f"{lam_derived} != {lam_base} + {delta}"
         )
     return WeilTransfer(holds=holds, lam_derived=lam_derived, lam_base=lam_base, delta=delta)

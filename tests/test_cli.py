@@ -38,6 +38,13 @@ class TestScalarCommands:
         code, _, err = run_cli(capsys, "ord", "t", "t^2-1")
         assert code == 1 and "irreducible" in err
 
+    def test_evaluation_error_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "ord", "1/0", "t")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "division by zero" in err
+        code, _, err = run_cli(capsys, "height", "1,1/(t-t)")
+        assert code == 1 and err.startswith("error: ")
+
 
 class TestSpaceCommands:
     def test_lspace(self, capsys):

@@ -1,13 +1,17 @@
-"""No ffdio module reaches into another module's private (underscore) names.
+"""No ffdio module reaches into another module's private (underscore) names,
+and every name the benchmark's tracer wraps exists.
 
-Stdlib only: every source file under src/ffdio is parsed with `ast`, and
-both `from .mod import _name` and `mod._name` on an imported ffdio module
-count as a violation.
+Every source file under src/ffdio is parsed with `ast`, and both
+`from .mod import _name` and `mod._name` on an imported ffdio module count as
+a violation.
 """
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ffdio"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ffdio"
 
 
 def _private(name: str) -> bool:
@@ -65,3 +69,21 @@ def test_checker_sees_a_private_import(tmp_path):
     found = violations(path)
     assert len(found) == 3
     assert "_exponent_vectors" in found[0] and "_rational_vectors" in found[1]
+
+
+def test_tracer_targets_resolve():
+    """`perfbench/tracer.py` wraps each TARGETS entry by name; a missing one
+    makes a traced benchmark run fail with AttributeError."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for module_name, path, _ in tracer.TARGETS:
+        module = importlib.import_module(f"ffdio.{module_name}")
+        owner, _, name = path.rpartition(".")
+        scope = vars(module)
+        if owner:
+            scope = vars(scope[owner]) if owner in scope else {}
+        if not callable(scope.get(name)):
+            missing.append(f"{module_name}.{path}")
+    assert not missing, missing

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,22 +54,65 @@ class TestRrefRankSolve:
     def test_solve_particular(self, rows, rhs):
         if linalg.rank(rows) < 2:
             return
-        x = linalg.solve_particular(rows, rhs)
+        x = linalg.solve(rows, [[v] for v in rhs])
+        assert len(x) == 4 and all(len(r) == 1 for r in x)
         for row, b in zip(rows, rhs):
-            assert sum(c * v for c, v in zip(row, x)) == b
+            assert sum(c * v[0] for c, v in zip(row, x)) == b
+
+    @given(frac_matrix(3, 3), frac_matrix(3, 4))
+    @settings(max_examples=60)
+    def test_solve_matches_sympy(self, rows, rhs):
+        """Several right-hand sides over Q against sympy's exact rref."""
+        a, b = sympy.Matrix(rows), sympy.Matrix(rhs)
+        reduced, pivots = a.row_join(b).rref()
+        if any(pc >= 3 for pc in pivots):
+            with pytest.raises(linalg.InconsistentSystem):
+                linalg.solve(rows, rhs)
+            return
+        want = sympy.zeros(3, 4)
+        for r, pc in enumerate(pivots):
+            want[pc, :] = reduced[r, 3:]
+        x = linalg.solve(rows, rhs)
+        assert sympy.Matrix(x) == want
+        assert a * sympy.Matrix(x) == b
+
+    @given(frac_matrix(4, 2), frac_matrix(4, 3))
+    @settings(max_examples=60)
+    def test_columns_solve_alone(self, rows, rhs):
+        """Each column of a several-column solve is its one-column solve."""
+        def solve_or_none(b):
+            try:
+                return linalg.solve(rows, b)
+            except linalg.InconsistentSystem:
+                return None
+
+        x = solve_or_none(rhs)
+        alone = [solve_or_none([[r[c]] for r in rhs]) for c in range(3)]
+        assert (x is None) == any(a is None for a in alone)
+        if x is not None:
+            for c, a in enumerate(alone):
+                assert [r[c] for r in x] == [r[0] for r in a]
 
     def test_inconsistent(self):
         with pytest.raises(linalg.InconsistentSystem):
-            linalg.solve_particular([[ONE, ONE], [ONE, ONE]], [ONE, ONE + ONE])
+            linalg.solve([[ONE, ONE], [ONE, ONE]], [[ONE, ONE], [ONE, ONE + ONE]])
+
+    def test_over_ratfunc(self):
+        t = RatFunc(Poly([0, 1]))
+        one = RatFunc.constant(1)
+        x = linalg.solve([[one, t], [t, one]], [[one + t], [one + t]])
+        assert x == [[one], [one]]
 
     @given(frac_matrix(3))
     @settings(max_examples=40)
     def test_inverse(self, rows):
+        identity = [[ONE if i == j else 0 * ONE for j in range(3)] for i in range(3)]
         if linalg.det(rows) == 0:
-            with pytest.raises(ValueError):
-                linalg.inverse(rows, ONE)
+            with pytest.raises(linalg.InconsistentSystem):
+                linalg.solve(rows, identity)
             return
-        inv = linalg.inverse(rows, ONE)
+        inv = linalg.solve(rows, identity)
+        assert sympy.Matrix(inv) == sympy.Matrix(rows).inv()
         for i in range(3):
             for j in range(3):
                 acc = sum(inv[i][k] * rows[k][j] for k in range(3))

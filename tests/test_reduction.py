@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ffdio import reduction
+from ffdio.heights import LinearForm
 from ffdio.moving import (
     MovingHyperplaneFamily,
     PointSequence,
@@ -40,35 +41,45 @@ class TestSelection:
         forms, xs = fermat_fixture()
         # ord_t of the three form values at [1 : t^5]: (0, 5, 0) -> row 1 first,
         # then the tie at order 0 broken by the smaller index.
-        assert reduction.select_J(T_PLACE, 5, forms, xs.eval_point(5)) == (1, 0)
+        loc = reduction.select_J(T_PLACE, 5, forms, xs.eval_point(5))
+        assert loc.J == (1, 0)
+        assert loc.ords == (0, 5, 0)
 
     def test_select_J_at_infinity(self):
         forms, xs = fermat_fixture()
-        assert reduction.select_J(INFINITY, 5, forms, xs.eval_point(5)) == (0, 1)
+        assert reduction.select_J(INFINITY, 5, forms, xs.eval_point(5)).J == (0, 1)
 
     def test_stabilize(self):
         forms, xs = fermat_fixture()
         sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
         assert sel.J == (1, 0)
         assert sel.stable_subset == WINDOW
+        assert [loc.alpha for loc in sel.local] == list(WINDOW)
+        assert all(loc.J == sel.J for loc in sel.local)
 
     def test_invert_forms_identity(self):
         forms, xs = fermat_fixture()
-        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
-        inv = reduction.invert_forms(sel, 3, forms)
-        mat = [list(forms.eval_form(j, 3).coeffs) for j in sel.J]
+        loc = reduction.select_J(T_PLACE, 3, forms, xs.eval_point(3))
+        inv = reduction.invert_forms(loc, forms)
+        mat = [list(forms.eval_form(j, 3).coeffs) for j in loc.J]
         one = RatFunc.constant(1)
         for i in range(2):
             for j in range(2):
                 acc = sum((inv[i][k] * mat[k][j] for k in range(2)), RatFunc.constant(0))
                 assert acc == (one if i == j else RatFunc.constant(0))
 
+    def test_singular_selection_raises(self):
+        forms, xs = fermat_fixture()
+        loc = reduction.LocalSelection(T_PLACE, 4, (0, 4, 0), (0, 0))
+        with pytest.raises(ValueError, match="selected rows are singular at index 4"):
+            reduction.invert_forms(loc, forms)
+
 
 class TestLocalInequality:
     def test_exact_values(self):
         forms, xs = fermat_fixture()
-        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
-        res = reduction.check_local_inequality(T_PLACE, 7, sel, forms, xs.eval_point(7))
+        loc = reduction.select_J(T_PLACE, 7, forms, xs.eval_point(7))
+        res = reduction.check_local_inequality(loc, forms, xs.eval_point(7))
         assert res.holds
         assert res.lhs == -7 and res.rhs == -7
 
@@ -76,9 +87,9 @@ class TestLocalInequality:
         forms, xs = fermat_fixture()
         for p in (T_PLACE, INFINITY):
             sel = reduction.stabilize_J(p, WINDOW, forms, xs)
-            for alpha in WINDOW:
+            for loc in sel.local:
                 assert reduction.check_local_inequality(
-                    p, alpha, sel, forms, xs.eval_point(alpha)
+                    loc, forms, xs.eval_point(loc.alpha)
                 ).holds
 
 
@@ -93,8 +104,11 @@ class TestTransfer:
             derived = reduction.derive_and_pad(C)
             assert derived.padding == ()
             for alpha in sel.stable_subset:
+                site = reduction.transfer_site(p, alpha, sel, b, forms, xs)
+                reduction.check_transfer(site, C)
                 for l in range(2):
-                    res = reduction.weil_transfer_check(p, alpha, l, 0, C, b, forms, xs)
+                    form = C.row_form(l, 0, alpha)
+                    res = reduction.weil_transfer_check(site, l, 0, form, form.apply(site.P))
                     assert res.holds
 
     def test_transfer_rows_express_selected_forms(self):
@@ -120,18 +134,30 @@ class TestTransfer:
             ls1=ls1,
             m=1,
         )
-        with pytest.raises(reduction.ExactIdentityError):
-            reduction._verify_transfer_identity(bad, b, forms, xs, 4)
+        site = reduction.transfer_site(T_PLACE, 4, sel, b, forms, xs)
+        with pytest.raises(reduction.ExactIdentityError, match=r"transfer identity .* row \(0, 0\)"):
+            reduction.check_transfer(site, bad)
+
+    def test_tampered_row_fails_the_weil_check(self):
+        # Row (0, 0) should be x_1; x_0 + x_1 = 1 + t^4 has order 0 at t, not 4.
+        forms, xs = fermat_fixture()
+        b, _, _ = fermat_basis(forms)
+        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
+        site = reduction.transfer_site(T_PLACE, 4, sel, b, forms, xs)
+        one = RatFunc.constant(1)
+        derived = LinearForm((one, one))
+        with pytest.raises(reduction.ExactIdentityError, match=r"Weil transfer fails .*: 0 != 4 \+ 0"):
+            reduction.weil_transfer_check(site, 0, 0, derived, derived.apply(site.P))
 
     def test_tampered_inverse_detected(self):
         forms, xs = fermat_fixture()
-        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
-        inv = reduction.invert_forms(sel, 4, forms)
-        reduction.check_inverse(sel, 4, forms, inv)
+        loc = reduction.select_J(T_PLACE, 4, forms, xs.eval_point(4))
+        inv = reduction.invert_forms(loc, forms)
+        reduction.check_inverse(loc, forms, inv)
         bad = [row[:] for row in inv]
         bad[0][0] = bad[0][0] + 1
         with pytest.raises(reduction.ExactIdentityError, match="place t, index 4"):
-            reduction.check_inverse(sel, 4, forms, bad)
+            reduction.check_inverse(loc, forms, bad)
 
 
 class TestHeights:
