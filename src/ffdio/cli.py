@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes for experiment runs: 0 = PASS, 2 = FAIL, 3 = probe refusal,
-1 = usage or configuration error.
+1 = usage or configuration error, 4 = an exact identity of the checker
+itself failed (a bug, not a verdict).
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from .moving import Sequence, window_range
 from .parser import EvalError, ParseError, parse_ratfunc
 from .places import divisor_of, ord_at, parse_prime
 from .ratfunc import RatFunc
+from .reduction import ExactIdentityError
 from .steinmetz import choose_s, dim_L
 
 
@@ -175,6 +177,9 @@ def main(argv=None) -> int:
     except (ConfigError, EvalError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ExactIdentityError as exc:
+        print(f"identity violated: {exc}", file=sys.stderr)
+        return 4
     raise AssertionError("unreachable")
 
 

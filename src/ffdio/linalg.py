@@ -141,7 +141,9 @@ def rational_vectors(values_per_alpha: list[list[RatFunc]]) -> list[list[Fractio
         dens = [v.den for v in values]
         common = ONE
         for d in dens:
-            if d != ONE:
+            if common == ONE:
+                common = d
+            elif d != ONE:
                 common = common * d // poly_gcd(common, d)
         numerators = [v.num * (common // v.den) for v in values]
         width = max((p.degree for p in numerators), default=-1) + 1

@@ -36,6 +36,20 @@ class Poly:
         object.__setattr__(self, "coeffs", tuple(cs))
 
     @classmethod
+    def _normalized(cls, coeffs: tuple) -> "Poly":
+        """Wrap a tuple of Fractions that already has no trailing zero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
+    @classmethod
+    def _trimmed(cls, coeffs: list) -> "Poly":
+        """Wrap a list of Fractions, dropping its trailing zeros."""
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return cls._normalized(tuple(coeffs))
+
+    @classmethod
     def constant(cls, c: Scalar) -> "Poly":
         return cls([_frac(c)])
 
@@ -52,10 +66,13 @@ class Poly:
         return self.coeffs[-1]
 
     def monic(self) -> "Poly":
-        lc = self.leading()
-        if lc == 1:
+        return self._scale(1 / self.leading())
+
+    def _scale(self, c: Fraction) -> "Poly":
+        """c * self for a nonzero Fraction c, without a convolution."""
+        if c == 1:
             return self
-        return Poly(c / lc for c in self.coeffs)
+        return Poly._normalized(tuple(c * x for x in self.coeffs))
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -71,7 +88,7 @@ class Poly:
         return hash(self.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly(-c for c in self.coeffs)
+        return Poly._normalized(tuple(-c for c in self.coeffs))
 
     def __add__(self, other) -> "Poly":
         other = _as_poly(other)
@@ -81,7 +98,7 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._trimmed(out)
 
     __radd__ = __add__
 
@@ -96,13 +113,18 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return ZERO
+        if len(a) == 1:
+            return other._scale(a[0])
+        if len(b) == 1:
+            return self._scale(b[0])
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     if cb:
                         out[i + j] += ca * cb
-        return Poly(out)
+        # The leading coefficient is lc(a) * lc(b), which is nonzero.
+        return Poly._normalized(tuple(out))
 
     __rmul__ = __mul__
 
@@ -114,8 +136,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other) -> tuple["Poly", "Poly"]:
@@ -135,7 +158,8 @@ class Poly:
                 quo[i - d] = q
                 for j, oc in enumerate(other.coeffs):
                     rem[i - d + j] -= q * oc
-        return Poly(quo), Poly(rem)
+        # The leading quotient coefficient is lc(self) / lc(other), nonzero.
+        return Poly._normalized(tuple(quo)), Poly._trimmed(rem)
 
     def __floordiv__(self, other) -> "Poly":
         return divmod(self, other)[0]
@@ -208,7 +232,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
     def as_ints(p: Poly):
         den = lcm(*(c.denominator for c in p.coeffs))
-        return [ZZ(int(c * den)) for c in reversed(p.coeffs)]
+        return [ZZ(c.numerator * (den // c.denominator)) for c in reversed(p.coeffs)]
 
     g = dup_gcd(as_ints(a), as_ints(b), ZZ)
     return Poly(reversed([int(c) for c in g])).monic()
@@ -257,12 +281,15 @@ def factorize(p: Poly) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if p.degree == 0:
         return Factorization(p.coeffs[0], ())
+    if p.degree == 1:
+        # Degree one is irreducible: p = lc * (monic p), with nothing to certify.
+        return Factorization(p.leading(), ((p.monic(), 1),))
 
     # Clear denominators: p = (c/d) * F with F a primitive integer polynomial.
     from math import gcd as igcd, lcm
 
     den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [int(c * den) for c in p.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
     content = 0
     for c in ints:
         content = igcd(content, abs(c))
@@ -307,15 +334,25 @@ class RatFunc:
         if num.is_zero():
             num, den = ZERO, ONE
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
+            # A constant side has gcd 1 with the other.
+            if num.degree > 0 and den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
             lc = den.leading()
             if lc != 1:
-                num = Poly(c / lc for c in num.coeffs)
+                num = num._scale(1 / lc)
                 den = den.monic()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num: Poly, den: Poly) -> "RatFunc":
+        """Wrap num/den that is already reduced, with den monic and 0 as 0/1."""
+        r = object.__new__(cls)
+        object.__setattr__(r, "num", num)
+        object.__setattr__(r, "den", den)
+        return r
 
     @classmethod
     def constant(cls, c: Scalar) -> "RatFunc":
@@ -345,12 +382,14 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
+        return RatFunc._reduced(-self.num, self.den)
 
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == ONE and other.den == ONE:
+            return RatFunc._reduced(self.num + other.num, ONE)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -365,6 +404,8 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
+        if self.den == ONE and other.den == ONE:
+            return RatFunc._reduced(self.num * other.num, ONE)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__

@@ -8,16 +8,16 @@ from ffdio.ratfunc import Poly, RatFunc
 small_ints = st.integers(-9, 9)
 
 
-def polys(max_degree: int = 6, nonzero: bool = False):
-    strat = st.lists(small_ints, min_size=1, max_size=max_degree + 1).map(Poly)
+def polys(max_degree: int = 6, nonzero: bool = False, coeffs=small_ints):
+    strat = st.lists(coeffs, min_size=1, max_size=max_degree + 1).map(Poly)
     if nonzero:
         strat = strat.filter(lambda p: not p.is_zero())
     return strat
 
 
-def ratfuncs(max_degree: int = 5, nonzero: bool = False):
-    num = polys(max_degree, nonzero=nonzero)
-    den = polys(max_degree, nonzero=True)
+def ratfuncs(max_degree: int = 5, nonzero: bool = False, coeffs=small_ints):
+    num = polys(max_degree, nonzero=nonzero, coeffs=coeffs)
+    den = polys(max_degree, nonzero=True, coeffs=coeffs)
     return st.builds(RatFunc, num, den).filter(
         lambda r: not (nonzero and r.is_zero())
     )

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from ffdio import harness
 from ffdio.cli import main
 from ffdio.harness import generate
+from ffdio.reduction import ExactIdentityError
 
 
 def run_cli(capsys, *argv):
@@ -150,3 +152,17 @@ class TestExperimentCommands:
         path.write_text("{\"M\": 1}")
         code, _, err = run_cli(capsys, "verify", str(path))
         assert code == 1 and "error" in err
+
+    def test_identity_violation_exit_4(self, capsys, fermat_config, monkeypatch):
+        def broken_check(site, C):
+            raise ExactIdentityError(
+                f"transfer identity fails at place {site.place}, index {site.alpha}, row (0, 0)"
+            )
+
+        # run_reduction calls reduction.check_transfer by the name harness imported.
+        monkeypatch.setattr(harness, "check_transfer", broken_check)
+        code, out, err = run_cli(capsys, "reduce", fermat_config)
+        assert code == 4 and out == ""
+        assert err.startswith("identity violated: transfer identity fails at place ")
+        assert ", index " in err and "Traceback" not in err
+        assert len(err.splitlines()) == 1

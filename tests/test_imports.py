@@ -1,5 +1,6 @@
 """No ffdio module reaches into another module's private (underscore) names,
-and every name the benchmark's tracer wraps exists.
+every name the benchmark's tracer wraps exists, and setting up a run whose
+places are all of degree one does not import sympy.
 
 Every source file under src/ffdio is parsed with `ast`, and both
 `from .mod import _name` and `mod._name` on an imported ffdio module count as
@@ -8,7 +9,13 @@ a violation.
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from ffdio.harness import generate
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "ffdio"
@@ -87,3 +94,22 @@ def test_tracer_targets_resolve():
         if not callable(scope.get(name)):
             missing.append(f"{module_name}.{path}")
     assert not missing, missing
+
+
+def test_degree_one_places_do_not_load_sympy(tmp_path):
+    """The places t and inf need no factorisation, so loading a fixed-fermat
+    config stays clear of sympy's import time."""
+    path = tmp_path / "fermat.json"
+    path.write_text(json.dumps(generate("fixed-fermat", window=(1, 15)).to_dict()))
+    script = (
+        "import sys\n"
+        "from ffdio.harness import load_experiment\n"
+        f"cfg = load_experiment({str(path)!r}, 'reduce')\n"
+        "assert list(cfg.s_places) == ['t', 'inf'], cfg.s_places\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'sympy'))\n"
+    )
+    pythonpath = [str(SRC.parent), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in pythonpath if p))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,8 +135,117 @@ class TestRatFunc:
         if r.den.evaluate(x) == 0:
             return
         s = r * r + r
-        assert s.den.evaluate(x) != 0 or True
-        lhs = s.num.evaluate(x) / s.den.evaluate(x) if s.den.evaluate(x) != 0 else None
+        # s.den divides r.den^2, so it does not vanish at x either.
+        assert s.den.evaluate(x) != 0
         val = r.num.evaluate(x) / r.den.evaluate(x)
-        if lhs is not None:
-            assert lhs == val * val + val
+        assert s.num.evaluate(x) / s.den.evaluate(x) == val * val + val
+
+
+SYM_T = sympy.Symbol("t")
+
+
+def _sym(p: Poly):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) * SYM_T**i for i, c in enumerate(p.coeffs)),
+        sympy.Integer(0),
+    )
+
+
+def _coeffs(p: sympy.Poly) -> tuple:
+    """Fraction coefficients from t^0 up; () for zero."""
+    if p.is_zero:
+        return ()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs()))
+
+
+def _expected(expr) -> tuple:
+    """(num, den) coefficients of sympy's reduced form, with den monic."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num = sympy.Poly(num, SYM_T, domain=sympy.QQ)
+    den = sympy.Poly(den, SYM_T, domain=sympy.QQ)
+    lc = den.LC()
+    return _coeffs(num.quo_ground(lc)), _coeffs(den.quo_ground(lc))
+
+
+def _check(r: RatFunc, expr) -> None:
+    """r is in canonical form and equals the sympy expression."""
+    for p in (r.num, r.den):
+        assert all(type(c) is Fraction for c in p.coeffs)
+        assert not p.coeffs or p.coeffs[-1] != 0
+    assert r.den.leading() == 1
+    if r.is_zero():
+        assert r.den == ONE
+    else:
+        num, den = (sympy.Poly(_sym(p), SYM_T, domain=sympy.QQ) for p in (r.num, r.den))
+        assert num.gcd(den).degree() == 0
+    assert (r.num.coeffs, r.den.coeffs) == _expected(expr)
+
+
+class TestFastPathsAgainstSympy:
+    """The shortcuts for constant factors, denominator one and negation give
+    the same canonical element as sympy's cancel over QQ."""
+
+    @given(fractions(), polys(4, coeffs=fractions()))
+    @settings(max_examples=80, deadline=None)
+    def test_constant_times_poly(self, c, p):
+        k = Poly.constant(c)
+        expected = sympy.Rational(c.numerator, c.denominator) * _sym(p)
+        for prod in (k * p, p * k, c * p, p * c):
+            _check(RatFunc(prod), expected)
+        _check(RatFunc.constant(c) * RatFunc(p), expected)
+
+    @given(polys(4, coeffs=fractions()), polys(4, coeffs=fractions()))
+    @settings(max_examples=80, deadline=None)
+    def test_denominator_one(self, p, q):
+        a, b = RatFunc(p), RatFunc(q)
+        _check(a + b, _sym(p) + _sym(q))
+        _check(a - b, _sym(p) - _sym(q))
+        _check(a * b, _sym(p) * _sym(q))
+        _check(-a, -_sym(p))
+
+    @given(ratfuncs(3, coeffs=fractions()), ratfuncs(3, coeffs=fractions()))
+    @settings(max_examples=60, deadline=None)
+    def test_general_and_negation(self, r, s):
+        er = _sym(r.num) / _sym(r.den)
+        es = _sym(s.num) / _sym(s.den)
+        _check(r, er)
+        _check(-r, -er)
+        _check(r + s, er + es)
+        _check(r * s, er * es)
+        _check(r - s, er - es)
+
+    @given(ratfuncs(3, coeffs=fractions()), polys(4, coeffs=fractions()))
+    @settings(max_examples=60, deadline=None)
+    def test_cancel_to_zero(self, r, p):
+        _check(r + (-r), sympy.Integer(0))
+        _check(r - r, sympy.Integer(0))
+        _check(RatFunc(p) - RatFunc(p), sympy.Integer(0))
+        _check(r * 0, sympy.Integer(0))
+        assert (p * ZERO).is_zero() and (ZERO * p).is_zero()
+
+    @given(polys(3, coeffs=fractions()), st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_pow_against_repeated_multiplication(self, p, n):
+        acc = ONE
+        for _ in range(n):
+            acc = acc * p
+        assert p ** n == acc
+        _check(RatFunc(p ** n), _sym(p) ** n)
+        _check(RatFunc(p) ** n, _sym(p) ** n)
+
+    @given(fractions().filter(bool), fractions())
+    @settings(max_examples=80, deadline=None)
+    def test_factorize_degree_one(self, a, b):
+        p = Poly([b, a])  # a*t + b
+        coeff, factors = sympy.factor_list(_sym(p), SYM_T, domain=sympy.QQ)
+        unit = Fraction(int(coeff.p), int(coeff.q))
+        expected = []
+        for f, m in factors:
+            f = sympy.Poly(f, SYM_T, domain=sympy.QQ)
+            lc = f.LC()
+            unit *= Fraction(int(lc.p), int(lc.q)) ** m
+            expected.append((_coeffs(f.monic()), m))
+        fact = factorize(p)
+        assert fact.unit == unit and type(fact.unit) is Fraction
+        assert [(f.coeffs, m) for f, m in fact.factors] == expected
+        assert fact.expand() == p
