@@ -93,7 +93,6 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", help="override epsilon, rational p/q")
     p.add_argument("--delta", help="override delta, rational p/q")
     p.add_argument("--format", choices=["csv", "json"], default="json")
-    p.add_argument("--seed", type=int, help="override config seed")
     p.add_argument("--infinite-subset", help="pass if this fraction of the window satisfies the bound")
     p.add_argument("-o", "--output", help="write the report to a file instead of stdout")
 
@@ -103,7 +102,7 @@ def _overrides(args) -> dict:
     raw = {}
     if args.window is not None:
         raw["window"] = list(_parse_window(args.window))
-    for key in ("epsilon", "delta", "seed", "infinite_subset"):
+    for key in ("epsilon", "delta", "infinite_subset"):
         if getattr(args, key) is not None:
             raw[key] = getattr(args, key)
     return raw
@@ -155,7 +154,7 @@ def main(argv=None) -> int:
         if args.command == "choose-s":
             window = window_range(*_parse_window(args.window))
             xis = [Sequence.from_text(s.strip()) for s in args.xis.split(";")]
-            print(choose_s(xis, Fraction(args.delta), window, args.s_max))
+            print(choose_s(xis, Fraction(args.delta), window, args.s_max)[0].s)
             return 0
         if args.command in ("verify", "wang", "reduce"):
             return _run_experiment(args, args.command)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from . import linalg
-from .heights import LinearForm, PlaceSet, e_form, e_point, height_point, proximity, weil_at
+from .heights import LinearForm, e_form, e_point, height_point, weil_at
 from .moving import (
     MovingHyperplaneFamily,
     PointSequence,
@@ -32,17 +32,17 @@ from .moving import (
 from .parser import EvalError, ParseError, parse_expression
 from .places import PrimeDivisor, parse_prime
 from .reduction import (
-    ExactIdentityError,
     PlaceSelection,
     build_transfer,
     check_local_inequality,
     check_transfer,
     derive_and_pad,
     height_P_decomposition,
+    index_values,
     stabilize_J,
     transfer_site,
 )
-from .steinmetz import choose_s, dim_L, extend_basis, monomial_sequence
+from .steinmetz import choose_s, extend_basis, monomial_sequence
 
 MAX_Q = 12
 MAX_M = 4
@@ -110,9 +110,6 @@ class ExperimentConfig:
     def places(self) -> list[PrimeDivisor]:
         return [parse_prime(s) for s in self.s_places]
 
-    def place_set(self) -> PlaceSet:
-        return PlaceSet.of(self.places())
-
     def point_sequence(self) -> PointSequence:
         return PointSequence.from_texts(self.points, alpha_min=self.window[0])
 
@@ -140,11 +137,15 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
     s_places = need("S")
     if not isinstance(s_places, list) or not s_places:
         raise ConfigError("S: must be a nonempty list of place strings")
+    seen: list[PrimeDivisor] = []
     for i, s in enumerate(s_places):
         try:
-            parse_prime(s)
+            place = parse_prime(s)
         except (ValueError, ParseError) as exc:
             raise ConfigError(f"S[{i}]: {exc}") from exc
+        if place in seen:
+            raise ConfigError(f"S[{i}]: duplicate place {place}")
+        seen.append(place)
 
     points = need("points")
     if not isinstance(points, list) or len(points) != m + 1:
@@ -439,7 +440,7 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
         raise ConfigError(f"q: verify runs need q > M+1, got q={cfg.q}, M={cfg.m}")
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
-    places = cfg.place_set().sorted()
+    places = cfg.places()
     probes, _ = _run_probes(cfg, fam, xs, strict_gp=True)
     window = cfg.window_indices()
 
@@ -560,36 +561,30 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
         raise ProbeRefusal("all window indices are excluded", probes)
 
     xis = _dedup_sequences([seq for row in forms.rows for seq in row], usable)
-    s = choose_s(xis, cfg.delta, usable, cfg.s_max)
-    space_s = dim_L(xis, s, usable)
-    space_s1 = dim_L(xis, s + 1, usable)
+    space_s, space_s1 = choose_s(xis, cfg.delta, usable, cfg.s_max)
     b_vectors = extend_basis(space_s, space_s1)
     b = [monomial_sequence(xis, vec) for vec in b_vectors]
     ls, ls1 = space_s.dim, space_s1.dim
 
     places = cfg.places()
+    table = index_values(forms, xs, usable)
     selections: dict[PrimeDivisor, PlaceSelection] = {}
     lam_sel: dict[int, int] = {}  # sum over places and l of lambda_p(x, L_{J[l]})
     local_checks = 0
     for p in places:
-        sel = stabilize_J(p, usable, forms, xs)
+        sel = stabilize_J(p, table, cfg.m)
         C = build_transfer(sel, b, ls, forms, xs, usable)
         for alpha in sel.stable_subset:
-            site = transfer_site(p, alpha, sel, b, forms, xs)
+            site = transfer_site(p, table[alpha], sel, b, forms)
             check_transfer(site, C)
             lam_sel[alpha] = lam_sel.get(alpha, 0) + sum(site.base_lams)
         derive_and_pad(C)
         for loc in sel.local:
-            res = check_local_inequality(loc, forms, xs.eval_point(loc.alpha))
-            if not res.holds:
-                raise ExactIdentityError(
-                    f"local counting inequality fails at place {p}, index {loc.alpha}"
-                )
+            check_local_inequality(loc, forms, table[loc.alpha].x)
             local_checks += 1
         selections[p] = sel
 
     stable_common = set(usable).intersection(*(sel.stable_subset for sel in selections.values()))
-    S = cfg.place_set()
 
     rows: list[ReportRow] = []
     h_product: dict[int, int] = {}  # the bound is taken in h(P) = h(x) + h(b)
@@ -598,15 +593,19 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
             note = eval_errors.get(alpha, "outside the common stable subset")
             rows.append(_excluded(alpha, cfg.q, note))
             continue
-        x = xs.eval_point(alpha)
+        iv = table[alpha]
+        e_x = {p: e_point(iv.x, p) for p in places}
         split = height_P_decomposition(b, xs, alpha)
-        lams = tuple(proximity(x, forms.eval_form(j, alpha), S) for j in range(cfg.q))
+        lams = tuple(
+            sum(weil_at(value, e_x[p], e_form(forms.eval_form(j, alpha), p), p) for p in places)
+            for j, value in enumerate(iv.values)
+        )
         h_product[alpha] = split.h_product
         rows.append(ReportRow(alpha, split.h_point, lams, ls * lam_sel[alpha], None, None, False))
 
     slope = (cfg.m + 1) * ls1 + cfg.delta
     extra = {
-        "s": s,
+        "s": space_s.s,
         "l_s": ls,
         "l_s1": ls1,
         "slope": str(slope),
@@ -686,7 +685,11 @@ def _generate_random_gp(
         rows = [
             [rng.randint(-3, 3) for _ in range(m + 1)] for _ in range(q)
         ]
-        if _constant_general_position(rows, m):
+        if q <= m:  # parse_config rejects q with its own message
+            break
+        if all(any(row) for row in rows) and general_position_check(
+            MovingHyperplaneFamily.from_texts([[str(c) for c in row] for row in rows]), 0
+        ):
             break
     points = [f"t^({i}*a)" if i else "1" for i in range(m + 1)]
     return parse_config(
@@ -702,16 +705,6 @@ def _generate_random_gp(
             "seed": seed,
         }
     )
-
-
-def _constant_general_position(rows: list[list[int]], m: int) -> bool:
-    if any(not any(row) for row in rows):
-        return False
-    for subset in combinations(range(len(rows)), m + 1):
-        mat = [[Fraction(c) for c in rows[j]] for j in subset]
-        if linalg.det(mat) == 0:
-            return False
-    return True
 
 
 def run(mode: str, cfg: ExperimentConfig) -> VerificationReport:

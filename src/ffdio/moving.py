@@ -6,7 +6,7 @@ with explicit exception lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence as Seq
@@ -61,28 +61,12 @@ class Sequence:
         self._cache[alpha] = value
         return value
 
-    def __call__(self, alpha: int) -> RatFunc:
-        return self.eval(alpha)
-
-    def _combine(self, other, op, sym) -> "Sequence":
-        other = other if isinstance(other, Sequence) else Sequence.constant(other)
+    def __truediv__(self, other: "Sequence") -> "Sequence":
         return Sequence(
-            lambda alpha: op(self.eval(alpha), other.eval(alpha)),
+            lambda alpha: self.eval(alpha) / other.eval(alpha),
             max(self.alpha_min, other.alpha_min),
-            f"({self.text}) {sym} ({other.text})" if self.text and other.text else None,
+            f"({self.text}) / ({other.text})" if self.text and other.text else None,
         )
-
-    def __add__(self, other) -> "Sequence":
-        return self._combine(other, lambda a, b: a + b, "+")
-
-    def __sub__(self, other) -> "Sequence":
-        return self._combine(other, lambda a, b: a - b, "-")
-
-    def __mul__(self, other) -> "Sequence":
-        return self._combine(other, lambda a, b: a * b, "*")
-
-    def __truediv__(self, other) -> "Sequence":
-        return self._combine(other, lambda a, b: a / b, "/")
 
     def is_constant_on(self, window: Seq[int]) -> bool:
         values = {self.eval(alpha) for alpha in window}
@@ -138,7 +122,6 @@ class NormalizedFamily:
     rows: tuple[tuple[Sequence, ...], ...]
     pivots: tuple[int, ...]
     exceptions: tuple[frozenset[int], ...]  # per-row window indices where the pivot vanishes
-    source: MovingHyperplaneFamily
 
     @property
     def q(self) -> int:
@@ -164,7 +147,6 @@ class WindowVerdict:
     holds: bool
     exceptions: tuple[int, ...]
     statistic: Optional[Fraction]
-    detail: dict = field(default_factory=dict, compare=False)
 
 
 def normalize_xi(
@@ -213,7 +195,7 @@ def normalize_xi(
         rows.append(xi_row)
         pivots.append(l)
         exceptions.append(frozenset(zeros))
-    return NormalizedFamily(tuple(rows), tuple(pivots), tuple(exceptions), family)
+    return NormalizedFamily(tuple(rows), tuple(pivots), tuple(exceptions))
 
 
 def general_position_check(family, alpha: int) -> bool:
@@ -267,7 +249,6 @@ def smallness_report(
         holds=holds,
         exceptions=tuple(exceptions),
         statistic=ratios[end],
-        detail={"mid": ratios[mid], "three_quarter": ratios[three_q], "end": ratios[end]},
     )
 
 
@@ -304,6 +285,5 @@ def nondegeneracy_probe(xs: PointSequence, window: Seq[int]) -> WindowVerdict:
         holds=holds,
         exceptions=tuple(exceptions),
         statistic=Fraction(rk, xs.m + 1),
-        detail={"rank": rk},
     )
 

@@ -12,15 +12,38 @@ from dataclasses import dataclass
 from typing import Optional, Sequence as Seq
 
 from . import linalg
-from .heights import LinearForm, ProjPoint, e_form, e_point, form_value, height_point, weil_at
+from .heights import LinearForm, ProjPoint, e_form, e_point, height_point, weil_at
 from .moving import NormalizedFamily, PointSequence, Sequence
-from .parser import EvalError
 from .places import PrimeDivisor, ord_at
 from .ratfunc import RatFunc
 
 
 class ExactIdentityError(AssertionError):
     """An identity that must hold exactly failed; indicates a bug upstream."""
+
+
+@dataclass(frozen=True)
+class IndexValues:
+    """The point x(alpha) and the value L_j(x(alpha)) of every normalized
+    row j at one usable index where none of those values vanishes."""
+
+    alpha: int
+    x: ProjPoint
+    values: tuple[RatFunc, ...]
+
+
+def index_values(
+    forms: NormalizedFamily, xs: PointSequence, usable: Seq[int]
+) -> dict[int, IndexValues]:
+    """The value table of a run: every form applied once per usable index.
+    Indices where the point lies on a hyperplane are left out."""
+    table = {}
+    for alpha in usable:
+        x = xs.eval_point(alpha)
+        values = tuple(forms.eval_form(j, alpha).apply(x) for j in range(forms.q))
+        if not any(v.is_zero() for v in values):
+            table[alpha] = IndexValues(alpha, x, values)
+    return table
 
 
 @dataclass(frozen=True)
@@ -40,19 +63,20 @@ class PlaceSelection:
     place: PrimeDivisor
     J: tuple[int, ...]  # M+1 row indices (0-based), decreasing local order
     stable_subset: tuple[int, ...]
-    local: tuple[LocalSelection, ...]  # every window index off all hyperplanes
+    local: tuple[LocalSelection, ...]  # every index of the value table
 
 
 @dataclass(frozen=True)
 class TransferMatrix:
     """Rows express basis-times-selected-form products in the product basis.
+    Their entries are constants of Q(t): the same at every index.
 
     Row (l, j) -> index l * ls + j; column (mu, nu) -> nu * ls1 + mu, matching
     the coordinate order of product points.
     """
 
     sel: PlaceSelection
-    rows: tuple[tuple[Sequence, ...], ...]
+    rows: tuple[tuple[RatFunc, ...], ...]
     ls: int
     ls1: int
     m: int
@@ -61,40 +85,21 @@ class TransferMatrix:
     def n_cols(self) -> int:
         return (self.m + 1) * self.ls1
 
-    def row_form(self, l: int, j: int, alpha: int) -> LinearForm:
-        return LinearForm(tuple(c.eval(alpha) for c in self.rows[l * self.ls + j]))
+    def row_form(self, l: int, j: int) -> LinearForm:
+        return LinearForm(self.rows[l * self.ls + j])
 
 
-@dataclass(frozen=True)
-class DerivedFamily:
-    transfer: TransferMatrix
-    padding: tuple[int, ...]  # coordinate indices used as unit-vector forms
+def select_J(p: PrimeDivisor, iv: IndexValues, m: int) -> LocalSelection:
+    """The form orders at (p, iv.alpha) and the M+1 rows J they select."""
+    ords = tuple(ord_at(v, p) for v in iv.values)
+    ranked = sorted(range(len(ords)), key=lambda j: (-ords[j], j))
+    return LocalSelection(p, iv.alpha, ords, tuple(ranked[: m + 1]))
 
 
-def select_J(
-    p: PrimeDivisor, alpha: int, forms: NormalizedFamily, x: ProjPoint
-) -> LocalSelection:
-    """The form orders at (p, alpha) and the selection J they give; raises
-    ValueError when the point lies on a hyperplane."""
-    ords = tuple(ord_at(form_value(x, forms.eval_form(j, alpha)), p) for j in range(forms.q))
-    ranked = sorted(range(forms.q), key=lambda j: (-ords[j], j))
-    return LocalSelection(p, alpha, ords, tuple(ranked[: forms.m + 1]))
-
-
-def stabilize_J(
-    p: PrimeDivisor,
-    window: Seq[int],
-    forms: NormalizedFamily,
-    xs: PointSequence,
-) -> PlaceSelection:
-    """Group window indices by their selection outcome; keep the largest group
-    (ties: lexicographically smallest index tuple)."""
-    local = []
-    for alpha in window:
-        try:
-            local.append(select_J(p, alpha, forms, xs.eval_point(alpha)))
-        except (ValueError, EvalError):
-            continue
+def stabilize_J(p: PrimeDivisor, table: dict[int, IndexValues], m: int) -> PlaceSelection:
+    """Group the indices of the value table by their selection outcome; keep
+    the largest group (ties: lexicographically smallest index tuple)."""
+    local = [select_J(p, iv, m) for iv in table.values()]
     groups: dict[tuple[int, ...], list[int]] = {}
     for loc in local:
         groups.setdefault(loc.J, []).append(loc.alpha)
@@ -138,7 +143,6 @@ def check_inverse(
 
 @dataclass(frozen=True)
 class LocalInequality:
-    holds: bool
     lhs: int
     rhs: int
 
@@ -151,7 +155,8 @@ def check_local_inequality(
     sum over all rows of (e_p(x) - ord_p L_j(x)) is at least the same sum over
     the selected rows plus (q - M - 1) times the minimum order of the inverse
     matrix entries. The inverse is re-verified by `check_inverse` before its
-    orders are used. Always holds, since loc.J is the order ranking at alpha.
+    orders are used. Always holds, since loc.J is the order ranking at alpha;
+    raises ExactIdentityError if it does not.
     """
     p = loc.place
     e = e_point(x, p)
@@ -160,15 +165,17 @@ def check_local_inequality(
     check_inverse(loc, forms, inv)
     min_inv = min(ord_at(v, p) for row in inv for v in row if not v.is_zero())
     rhs = sum(e - loc.ords[j] for j in loc.J) + (forms.q - forms.m - 1) * min_inv
-    return LocalInequality(holds=lhs >= rhs, lhs=lhs, rhs=rhs)
+    if lhs < rhs:
+        raise ExactIdentityError(
+            f"local counting inequality fails at place {p}, index {loc.alpha}"
+        )
+    return LocalInequality(lhs=lhs, rhs=rhs)
 
 
-def product_point(b: Seq[Sequence], xs: PointSequence, alpha: int) -> ProjPoint:
+def product_point(b: Seq[Sequence], x: ProjPoint, alpha: int) -> ProjPoint:
     """[b_1 x_0 : ... : b_ls1 x_0 : b_1 x_1 : ... : b_ls1 x_M] at alpha."""
     bvals = [seq.eval(alpha) for seq in b]
-    xvals = [c.eval(alpha) for c in xs.coords]
-    coords = [bvals[mu] * xvals[nu] for nu in range(len(xvals)) for mu in range(len(bvals))]
-    return ProjPoint(tuple(coords))
+    return ProjPoint(tuple(bv * xv for xv in x.coords for bv in bvals))
 
 
 def build_transfer(
@@ -193,7 +200,7 @@ def build_transfer(
     m = xs.m
     n_cols = (m + 1) * ls1
 
-    value_rows = {alpha: product_point(b, xs, alpha).coords for alpha in window}
+    value_rows = {alpha: product_point(b, xs.eval_point(alpha), alpha).coords for alpha in window}
 
     # Independence of the product sequences over the rational base field; the
     # stronger per-place row independence is re-verified in derive_and_pad.
@@ -218,9 +225,7 @@ def build_transfer(
         raise ValueError(
             "transfer system inconsistent on the stable subset; enlarge the window"
         ) from exc
-    rows = tuple(
-        tuple(Sequence.constant(row[c]) for row in coeffs) for c in range((m + 1) * ls)
-    )
+    rows = tuple(tuple(row[c] for row in coeffs) for c in range((m + 1) * ls))
     return TransferMatrix(sel=sel, rows=rows, ls=ls, ls1=ls1, m=m)
 
 
@@ -244,21 +249,19 @@ class TransferSite:
 
 def transfer_site(
     p: PrimeDivisor,
-    alpha: int,
+    iv: IndexValues,
     sel: PlaceSelection,
     b: Seq[Sequence],
     forms: NormalizedFamily,
-    xs: PointSequence,
 ) -> TransferSite:
-    """The TransferSite of (p, alpha) for the selection sel and the basis b."""
-    x = xs.eval_point(alpha)
-    e_x = e_point(x, p)
-    P = product_point(b, xs, alpha)
+    """The TransferSite of (p, iv.alpha) for the selection sel and the basis b."""
+    alpha = iv.alpha
+    e_x = e_point(iv.x, p)
+    P = product_point(b, iv.x, alpha)
     b_values = tuple(seq.eval(alpha) for seq in b)
     b_ords = tuple(None if v.is_zero() else ord_at(v, p) for v in b_values)
-    base = tuple(forms.eval_form(k, alpha) for k in sel.J)
-    values = tuple(form_value(x, L) for L in base)
-    base_e = tuple(e_form(L, p) for L in base)
+    values = tuple(iv.values[k] for k in sel.J)
+    base_e = tuple(e_form(forms.eval_form(k, alpha), p) for k in sel.J)
     lams = tuple(weil_at(v, e_x, e, p) for v, e in zip(values, base_e))
     return TransferSite(p, alpha, P, e_point(P, p), b_values, b_ords, values, base_e, lams)
 
@@ -268,7 +271,7 @@ def check_transfer(site: TransferSite, C: TransferMatrix) -> None:
     (l, j): C_{l,j}(P) = b_j * h_l exactly, then the Weil transfer."""
     for l in range(C.m + 1):
         for j in range(C.ls):
-            derived = C.row_form(l, j, site.alpha)
+            derived = C.row_form(l, j)
             value = derived.apply(site.P)
             if value != site.b_values[j] * site.base_values[l]:
                 raise ExactIdentityError(
@@ -278,39 +281,29 @@ def check_transfer(site: TransferSite, C: TransferMatrix) -> None:
             weil_transfer_check(site, l, j, derived, value)
 
 
-def derive_and_pad(C: TransferMatrix) -> DerivedFamily:
+def derive_and_pad(C: TransferMatrix) -> tuple[int, ...]:
     """Complete the derived forms to a full independent family by greedily
-    appending coordinate forms in product-coordinate order."""
-    if not C.sel.stable_subset:
-        raise ValueError("empty stable subset")
-    alpha0 = C.sel.stable_subset[0]
+    appending coordinate forms in product-coordinate order; returns the
+    coordinates used as padding. The rows are constant, so one independent
+    rank check of [rows; padding] covers every stable index."""
     n = C.n_cols
-    greedy = linalg.GreedyBasis()
-    for idx, row in enumerate(C.rows):
-        vec = [c.eval(alpha0) for c in row]
-        if not greedy.offer(vec):
-            raise ValueError(f"transfer row {idx} is dependent over Q(t)")
-    padding = []
     one = RatFunc.constant(1)
     zero = RatFunc.constant(0)
+    units = [[one if i == coord else zero for i in range(n)] for coord in range(n)]
+    greedy = linalg.GreedyBasis()
+    for idx, row in enumerate(C.rows):
+        if not greedy.offer(row):
+            raise ValueError(f"transfer row {idx} is dependent over Q(t)")
+    padding = []
     for coord in range(n):
         if greedy.rank == n:
             break
-        vec = [one if i == coord else zero for i in range(n)]
-        if greedy.offer(vec):
+        if greedy.offer(units[coord]):
             padding.append(coord)
     assert greedy.rank == n, "independent rows must extend to a full basis"
-
-    family = DerivedFamily(transfer=C, padding=tuple(padding))
-    for alpha in C.sel.stable_subset:
-        mat = [[c.eval(alpha) for c in row] for row in C.rows]
-        for coord in padding:
-            mat.append([one if i == coord else zero for i in range(n)])
-        if linalg.rank(mat) != n:
-            raise ExactIdentityError(
-                f"derived family degenerates at index {alpha} for place {C.sel.place}"
-            )
-    return family
+    if linalg.rank(list(C.rows) + [units[c] for c in padding]) != n:
+        raise ExactIdentityError(f"derived family degenerates for place {C.sel.place}")
+    return tuple(padding)
 
 
 @dataclass(frozen=True)
@@ -324,8 +317,9 @@ def height_P_decomposition(
     b: Seq[Sequence], xs: PointSequence, alpha: int
 ) -> HeightSplit:
     """h(product point) = h(x) + h(basis point), exactly."""
-    h_p = height_point(product_point(b, xs, alpha))
-    h_x = height_point(xs.eval_point(alpha))
+    x = xs.eval_point(alpha)
+    h_p = height_point(product_point(b, x, alpha))
+    h_x = height_point(x)
     h_b = height_point(ProjPoint(tuple(seq.eval(alpha) for seq in b)))
     if h_p != h_x + h_b:
         raise ExactIdentityError(
@@ -334,17 +328,9 @@ def height_P_decomposition(
     return HeightSplit(h_product=h_p, h_point=h_x, h_basis=h_b)
 
 
-@dataclass(frozen=True)
-class WeilTransfer:
-    holds: bool
-    lam_derived: int
-    lam_base: int
-    delta: int
-
-
 def weil_transfer_check(
     site: TransferSite, l: int, j: int, derived: LinearForm, value: RatFunc
-) -> WeilTransfer:
+) -> None:
     """The Weil function of the product point against the derived form of row
     (l, j) equals the base Weil function plus an explicit exact correction
     term. `value` is derived(P), computed once by the caller."""
@@ -356,10 +342,8 @@ def weil_transfer_check(
     lam_base = site.base_lams[l]
     b_min = min(o for o in site.b_ords if o is not None)
     delta = (site.base_e[l] + site.b_ords[j] - b_min - e_derived) * p.degree
-    holds = lam_derived == lam_base + delta
-    if not holds:
+    if lam_derived != lam_base + delta:
         raise ExactIdentityError(
             f"Weil transfer fails at place {p}, index {site.alpha}, row ({l}, {j}): "
             f"{lam_derived} != {lam_base} + {delta}"
         )
-    return WeilTransfer(holds=holds, lam_derived=lam_derived, lam_base=lam_base, delta=delta)

@@ -89,16 +89,17 @@ def choose_s(
     delta: Fraction,
     window: Seq[int],
     s_max: int,
-) -> int:
-    """Smallest s <= s_max with l(s+1) <= (1+delta) * l(s) on the window."""
+) -> tuple[MonomialSpace, MonomialSpace]:
+    """The spaces of degrees s and s+1 for the smallest s <= s_max with
+    l(s+1) <= (1+delta) * l(s) on the window."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     bound = 1 + Fraction(delta)
-    prev = dim_L(xis, 0, window).dim
+    prev = dim_L(xis, 0, window)
     for s in range(s_max + 1):
-        nxt = dim_L(xis, s + 1, window).dim
-        if nxt <= bound * prev:
-            return s
+        nxt = dim_L(xis, s + 1, window)
+        if nxt.dim <= bound * prev.dim:
+            return prev, nxt
         prev = nxt
     raise ValueError(
         f"no s <= {s_max} with l(s+1) <= (1+{delta})*l(s); raise s_max or grow the window"

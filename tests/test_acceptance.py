@@ -102,9 +102,9 @@ def test_acceptance_4_steinmetz():
         window = window_range(1, 40)
         for s in range(13):
             assert dim_L(xis, s, window).dim == s + 1
-        assert choose_s(xis, Fraction(1, 10), window, 12) == 9
+        assert choose_s(xis, Fraction(1, 10), window, 12)[0].s == 9
         for delta in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
-            assert choose_s([Sequence.constant(1)], delta, window_range(1, 10), 12) == 0
+            assert choose_s([Sequence.constant(1)], delta, window_range(1, 10), 12)[0].s == 0
 
 
 def _reduction_instances():

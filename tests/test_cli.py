@@ -147,6 +147,23 @@ class TestExperimentCommands:
         assert code == 1 and out == ""
         assert "infinite_subset" in err
 
+    @pytest.mark.parametrize("mode", ["verify", "wang", "reduce"])
+    @pytest.mark.parametrize("second", ["t", "2*t"])
+    def test_duplicate_place_exit_1(self, capsys, tmp_path, mode, second):
+        data = generate("fixed-fermat", window=(1, 20)).to_dict()
+        data["S"] = ["t", second, "inf"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, mode, str(path))
+        assert code == 1 and out == ""
+        assert err == "error: S[1]: duplicate place t\n"
+
+    def test_seed_is_not_a_run_flag(self, capsys, fermat_config):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", fermat_config, "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_config_error_exit_1(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("{\"M\": 1}")

@@ -45,9 +45,8 @@ class TestSequence:
     def test_arithmetic(self):
         a = Sequence.from_text("t^a")
         b = Sequence.constant(parse_ratfunc("t"))
-        assert (a * b).eval(2) == parse_ratfunc("t^3")
-        assert (a + 1).eval(1) == parse_ratfunc("t + 1")
         assert (a / b).eval(3) == parse_ratfunc("t^2")
+        assert (a / b).text == "(t^a) / (t)"
 
     def test_is_constant_on(self):
         assert Sequence.from_text("t^ilog2(a)").is_constant_on(range(4, 8))

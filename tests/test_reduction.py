@@ -13,7 +13,7 @@ from ffdio.moving import (
 )
 from ffdio.places import INFINITY, PrimeDivisor
 from ffdio.ratfunc import Poly, RatFunc
-from ffdio.steinmetz import choose_s, dim_L, extend_basis, monomial_sequence
+from ffdio.steinmetz import choose_s, extend_basis, monomial_sequence
 
 T_PLACE = PrimeDivisor(Poly([0, 1]))
 WINDOW = window_range(1, 20)
@@ -26,40 +26,53 @@ def fermat_fixture():
     return forms, xs
 
 
+def fermat_table():
+    forms, xs = fermat_fixture()
+    return forms, xs, reduction.index_values(forms, xs, WINDOW)
+
+
 def fermat_basis(forms):
     xis = [Sequence.constant(1), Sequence.constant(-1)]
-    s = choose_s(xis, Fraction(1), WINDOW, 12)
-    assert s == 0
-    space_s = dim_L(xis, 0, WINDOW)
-    space_s1 = dim_L(xis, 1, WINDOW)
+    space_s, space_s1 = choose_s(xis, Fraction(1), WINDOW, 12)
+    assert space_s.s == 0
     b = [monomial_sequence(xis, v) for v in extend_basis(space_s, space_s1)]
     return b, space_s.dim, space_s1.dim
 
 
 class TestSelection:
     def test_select_J_at_t(self):
-        forms, xs = fermat_fixture()
+        forms, xs, table = fermat_table()
         # ord_t of the three form values at [1 : t^5]: (0, 5, 0) -> row 1 first,
         # then the tie at order 0 broken by the smaller index.
-        loc = reduction.select_J(T_PLACE, 5, forms, xs.eval_point(5))
+        loc = reduction.select_J(T_PLACE, table[5], forms.m)
         assert loc.J == (1, 0)
         assert loc.ords == (0, 5, 0)
 
     def test_select_J_at_infinity(self):
-        forms, xs = fermat_fixture()
-        assert reduction.select_J(INFINITY, 5, forms, xs.eval_point(5)).J == (0, 1)
+        forms, xs, table = fermat_table()
+        assert reduction.select_J(INFINITY, table[5], forms.m).J == (0, 1)
+
+    def test_index_values_skip_points_on_a_hyperplane(self):
+        # The third hyperplane passes through [1 : t^5] at alpha = 5 only.
+        fam = MovingHyperplaneFamily.from_texts([["1", "0"], ["0", "1"], ["t^5", "-1"]])
+        xs = PointSequence.from_texts(["1", "t^a"])
+        forms = normalize_xi(fam, WINDOW)
+        table = reduction.index_values(forms, xs, WINDOW)
+        assert sorted(table) == [a for a in WINDOW if a != 5]
+        x = xs.eval_point(3)
+        assert table[3].values == tuple(forms.eval_form(j, 3).apply(x) for j in range(3))
 
     def test_stabilize(self):
-        forms, xs = fermat_fixture()
-        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
+        forms, xs, table = fermat_table()
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
         assert sel.J == (1, 0)
         assert sel.stable_subset == WINDOW
         assert [loc.alpha for loc in sel.local] == list(WINDOW)
         assert all(loc.J == sel.J for loc in sel.local)
 
     def test_invert_forms_identity(self):
-        forms, xs = fermat_fixture()
-        loc = reduction.select_J(T_PLACE, 3, forms, xs.eval_point(3))
+        forms, xs, table = fermat_table()
+        loc = reduction.select_J(T_PLACE, table[3], forms.m)
         inv = reduction.invert_forms(loc, forms)
         mat = [list(forms.eval_form(j, 3).coeffs) for j in loc.J]
         one = RatFunc.constant(1)
@@ -77,81 +90,96 @@ class TestSelection:
 
 class TestLocalInequality:
     def test_exact_values(self):
-        forms, xs = fermat_fixture()
-        loc = reduction.select_J(T_PLACE, 7, forms, xs.eval_point(7))
+        forms, xs, table = fermat_table()
+        loc = reduction.select_J(T_PLACE, table[7], forms.m)
         res = reduction.check_local_inequality(loc, forms, xs.eval_point(7))
-        assert res.holds
         assert res.lhs == -7 and res.rhs == -7
 
-    def test_holds_everywhere(self):
+    def test_wrong_selection_raises(self):
+        # Rows 0 and 2 have order 0 at t where row 1 has order 7: the bound
+        # over that J reads -7 >= 0, which fails.
         forms, xs = fermat_fixture()
+        loc = reduction.LocalSelection(T_PLACE, 7, (0, 7, 0), (0, 2))
+        with pytest.raises(reduction.ExactIdentityError, match="place t, index 7"):
+            reduction.check_local_inequality(loc, forms, xs.eval_point(7))
+
+    def test_holds_everywhere(self):
+        forms, xs, table = fermat_table()
         for p in (T_PLACE, INFINITY):
-            sel = reduction.stabilize_J(p, WINDOW, forms, xs)
+            sel = reduction.stabilize_J(p, table, forms.m)
             for loc in sel.local:
-                assert reduction.check_local_inequality(
-                    loc, forms, xs.eval_point(loc.alpha)
-                ).holds
+                res = reduction.check_local_inequality(loc, forms, xs.eval_point(loc.alpha))
+                assert res.lhs >= res.rhs
 
 
 class TestTransfer:
     def test_fermat_pipeline(self):
-        forms, xs = fermat_fixture()
+        forms, xs, table = fermat_table()
         b, ls, ls1 = fermat_basis(forms)
         assert (ls, ls1) == (1, 1)
         for p in (T_PLACE, INFINITY):
-            sel = reduction.stabilize_J(p, WINDOW, forms, xs)
+            sel = reduction.stabilize_J(p, table, forms.m)
             C = reduction.build_transfer(sel, b, ls, forms, xs, WINDOW)
-            derived = reduction.derive_and_pad(C)
-            assert derived.padding == ()
+            assert reduction.derive_and_pad(C) == ()
             for alpha in sel.stable_subset:
-                site = reduction.transfer_site(p, alpha, sel, b, forms, xs)
+                site = reduction.transfer_site(p, table[alpha], sel, b, forms)
                 reduction.check_transfer(site, C)
                 for l in range(2):
-                    form = C.row_form(l, 0, alpha)
-                    res = reduction.weil_transfer_check(site, l, 0, form, form.apply(site.P))
-                    assert res.holds
+                    form = C.row_form(l, 0)
+                    reduction.weil_transfer_check(site, l, 0, form, form.apply(site.P))
 
     def test_transfer_rows_express_selected_forms(self):
-        forms, xs = fermat_fixture()
+        forms, xs, table = fermat_table()
         b, ls, _ = fermat_basis(forms)
-        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
         C = reduction.build_transfer(sel, b, ls, forms, xs, WINDOW)
         # h_{J[0]} = x_1 and h_{J[1]} = x_0 in the product coordinates (x_0, x_1).
-        assert [str(c) for c in C.row_form(0, 0, 5).coeffs] == ["0", "1"]
-        assert [str(c) for c in C.row_form(1, 0, 5).coeffs] == ["1", "0"]
+        assert [str(c) for c in C.row_form(0, 0).coeffs] == ["0", "1"]
+        assert [str(c) for c in C.row_form(1, 0).coeffs] == ["1", "0"]
 
     def test_tampered_transfer_detected(self):
-        forms, xs = fermat_fixture()
+        forms, xs, table = fermat_table()
         b, ls, ls1 = fermat_basis(forms)
-        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
-        bad = reduction.TransferMatrix(
-            sel=sel,
-            rows=(
-                (Sequence.constant(1), Sequence.constant(1)),
-                (Sequence.constant(1), Sequence.constant(0)),
-            ),
-            ls=ls,
-            ls1=ls1,
-            m=1,
-        )
-        site = reduction.transfer_site(T_PLACE, 4, sel, b, forms, xs)
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
+        one, zero = RatFunc.constant(1), RatFunc.constant(0)
+        rows = ((one, one), (one, zero))
+        bad = reduction.TransferMatrix(sel=sel, rows=rows, ls=ls, ls1=ls1, m=1)
+        site = reduction.transfer_site(T_PLACE, table[4], sel, b, forms)
         with pytest.raises(reduction.ExactIdentityError, match=r"transfer identity .* row \(0, 0\)"):
             reduction.check_transfer(site, bad)
 
+    def test_dependent_row_is_refused(self):
+        # Row 1 is twice row 0, so the derived forms cannot be completed.
+        forms, xs, table = fermat_table()
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
+        one, two, zero = RatFunc.constant(1), RatFunc.constant(2), RatFunc.constant(0)
+        bad = reduction.TransferMatrix(sel=sel, rows=((one, zero), (two, zero)), ls=1, ls1=1, m=1)
+        with pytest.raises(ValueError, match=r"^transfer row 1 is dependent over Q\(t\)$"):
+            reduction.derive_and_pad(bad)
+
+    def test_rank_is_rechecked_apart_from_the_greedy_basis(self, monkeypatch):
+        forms, xs, table = fermat_table()
+        b, ls, _ = fermat_basis(forms)
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
+        C = reduction.build_transfer(sel, b, ls, forms, xs, WINDOW)
+        monkeypatch.setattr(reduction.linalg, "rank", lambda rows: 0)
+        with pytest.raises(reduction.ExactIdentityError, match="derived family degenerates for place t"):
+            reduction.derive_and_pad(C)
+
     def test_tampered_row_fails_the_weil_check(self):
         # Row (0, 0) should be x_1; x_0 + x_1 = 1 + t^4 has order 0 at t, not 4.
-        forms, xs = fermat_fixture()
+        forms, xs, table = fermat_table()
         b, _, _ = fermat_basis(forms)
-        sel = reduction.stabilize_J(T_PLACE, WINDOW, forms, xs)
-        site = reduction.transfer_site(T_PLACE, 4, sel, b, forms, xs)
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
+        site = reduction.transfer_site(T_PLACE, table[4], sel, b, forms)
         one = RatFunc.constant(1)
         derived = LinearForm((one, one))
         with pytest.raises(reduction.ExactIdentityError, match=r"Weil transfer fails .*: 0 != 4 \+ 0"):
             reduction.weil_transfer_check(site, 0, 0, derived, derived.apply(site.P))
 
     def test_tampered_inverse_detected(self):
-        forms, xs = fermat_fixture()
-        loc = reduction.select_J(T_PLACE, 4, forms, xs.eval_point(4))
+        forms, xs, table = fermat_table()
+        loc = reduction.select_J(T_PLACE, table[4], forms.m)
         inv = reduction.invert_forms(loc, forms)
         reduction.check_inverse(loc, forms, inv)
         bad = [row[:] for row in inv]

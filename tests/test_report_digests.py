@@ -34,6 +34,12 @@ ON_HYPERPLANE = {
     "thresholds": {"smallness_delta": "1/4"},
 }
 
+
+def _with_places(cfg, places):
+    """The config with another place set S, for runs beyond {t, inf}."""
+    return parse_config({**cfg.to_dict(), "S": places}, "reduce")
+
+
 CASES = {
     "fermat-verify": (
         "verify",
@@ -76,6 +82,20 @@ CASES = {
         lambda: parse_config(ON_HYPERPLANE, "reduce"),
         "2a2e333885ef98a7d634d8cd6cd4a879386f50edece648e723c8adec42419349",
         "b619848b06be0018e7805727abc754a374a41e498c725e4d60c923286d943834",
+    ),
+    "degree-2-place-reduce": (
+        "reduce",
+        lambda: _with_places(generate("random-gp", m=1, q=4, window=(1, 32)), ["t^2 + 1", "inf"]),
+        "c40dcd23f48cf1013c25deeed7143ffe63e7f6152d050e08d8cf3f312acf03a2",
+        "7ba36060e8a6b047f1963bbffafe223bf28853333460183c795bb39ad8d29cb9",
+    ),
+    "three-places-m2-reduce": (
+        "reduce",
+        lambda: _with_places(
+            generate("random-gp", m=2, q=4, window=(1, 24)), ["t", "t - 1", "inf"]
+        ),
+        "5e8c1d03b13220c8580ff38faa10fcc20930778e78c5e67e27748e84a8f46b35",
+        "f565f7178135e59ccf5b0cb838b9756369ff9b0bd0ca5d0ac48ebc3452ea6fdb",
     ),
 }
 

@@ -50,11 +50,14 @@ class TestDimL:
 
 class TestChooseS:
     def test_growth_family(self):
-        assert choose_s(xis_one_t(), Fraction(1, 10), window_range(1, 40), 12) == 9
+        space_s, space_s1 = choose_s(xis_one_t(), Fraction(1, 10), window_range(1, 40), 12)
+        assert space_s.s == 9
+        # The spaces returned are the two whose dimensions met the bound.
+        assert (space_s1.s, space_s.dim, space_s1.dim) == (10, 10, 11)
 
     def test_constant_family(self):
         for delta in (Fraction(1), Fraction(1, 2), Fraction(1, 10)):
-            assert choose_s([Sequence.constant(1)], delta, window_range(1, 10), 12) == 0
+            assert choose_s([Sequence.constant(1)], delta, window_range(1, 10), 12)[0].s == 0
 
     def test_exhaustion_error(self):
         with pytest.raises(ValueError):
