@@ -117,6 +117,13 @@ class ExperimentConfig:
         return MovingHyperplaneFamily.from_texts(self.hyperplanes, alpha_min=self.window[0])
 
 
+def _check_shape(m, q) -> None:
+    if not isinstance(m, int) or not (1 <= m <= MAX_M):
+        raise ConfigError(f"M: must be an integer in [1, {MAX_M}]")
+    if not isinstance(q, int) or not (m + 1 <= q <= MAX_Q):
+        raise ConfigError(f"q: must be an integer in [M+1, {MAX_Q}]")
+
+
 def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
     """Validate a raw config dict; error messages carry the offending field path."""
     if not isinstance(data, dict):
@@ -129,10 +136,7 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
 
     m = need("M")
     q = need("q")
-    if not isinstance(m, int) or not (1 <= m <= MAX_M):
-        raise ConfigError(f"M: must be an integer in [1, {MAX_M}]")
-    if not isinstance(q, int) or not (m + 1 <= q <= MAX_Q):
-        raise ConfigError(f"q: must be an integer in [M+1, {MAX_Q}]")
+    _check_shape(m, q)
 
     s_places = need("S")
     if not isinstance(s_places, list) or not s_places:
@@ -341,14 +345,33 @@ def _probe_summary(verdict: WindowVerdict) -> dict:
     }
 
 
-def _run_probes(cfg: ExperimentConfig, fam, xs, strict_gp: bool) -> tuple[dict, list[int]]:
+def _unevaluable(fam, window) -> dict[int, str]:
+    """Window indices where a hyperplane coefficient fails to evaluate, with
+    the error. Every run mode excludes them with that note, as it does an
+    index where the point fails."""
+    failed = {}
+    for alpha in window:
+        try:
+            for j in range(fam.q):
+                fam.eval_form(j, alpha)
+        except EvalError as exc:
+            failed[alpha] = str(exc)
+    return failed
+
+
+def _run_probes(
+    cfg: ExperimentConfig, fam, xs, strict_gp: bool, failed: dict[int, str]
+) -> tuple[dict, list[int]]:
     """Run the hypothesis probes. Returns (summaries, gp-failing indices).
 
     With strict_gp, any general-position failure refuses the run; otherwise
-    the failing indices are reported for per-index exclusion.
+    the failing indices are reported for per-index exclusion. General
+    position is not probed at the `failed` indices.
     """
     window = cfg.window_indices()
-    gp_bad = [alpha for alpha in window if not general_position_check(fam, alpha)]
+    gp_bad = [
+        alpha for alpha in window if alpha not in failed and not general_position_check(fam, alpha)
+    ]
     small = smallness_report(fam, xs, window, cfg.smallness_delta)
     nondeg = nondegeneracy_probe(xs, window)
     probes = {
@@ -441,14 +464,17 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
     places = cfg.places()
-    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True)
     window = cfg.window_indices()
+    failed = _unevaluable(fam, window)
+    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True, failed=failed)
 
     def per_alpha(alpha: int) -> ReportRow:
         try:
             x = xs.eval_point(alpha)
         except EvalError as exc:
             return _excluded(alpha, cfg.q, str(exc))
+        if alpha in failed:
+            return _excluded(alpha, cfg.q, failed[alpha])
         hx = height_point(x)
         e_x = {p: e_point(x, p) for p in places}
         lams = []
@@ -483,15 +509,17 @@ def run_wang_check(cfg: ExperimentConfig) -> VerificationReport:
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
     window = cfg.window_indices()
+    failed = _unevaluable(fam, window)
+    evaluable = [alpha for alpha in window if alpha not in failed]
     for j in range(cfg.q):
         for l in range(cfg.m + 1):
-            if not fam.rows[j][l].is_constant_on(window):
+            if not fam.rows[j][l].is_constant_on(evaluable):
                 raise ConfigError(
                     f"hyperplanes[{j}][{l}]: fixed-target checks need constant coefficients"
                 )
-    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True)
+    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True, failed=failed)
 
-    forms = [fam.eval_form(j, window[0]) for j in range(cfg.q)]
+    forms = [fam.eval_form(j, evaluable[0]) for j in range(cfg.q)]
     subsets = admissible_subsets(forms, cfg.m)
     places = cfg.places()
 
@@ -500,6 +528,8 @@ def run_wang_check(cfg: ExperimentConfig) -> VerificationReport:
             x = xs.eval_point(alpha)
         except EvalError as exc:
             return _excluded(alpha, cfg.q, str(exc))
+        if alpha in failed:
+            return _excluded(alpha, cfg.q, failed[alpha])
         hx = height_point(x)
         values = [form.apply(x) for form in forms]
         for j, value in enumerate(values):
@@ -546,10 +576,12 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
     window = cfg.window_indices()
-    probes, gp_bad = _run_probes(cfg, fam, xs, strict_gp=False)
+    failed = _unevaluable(fam, window)
+    probes, gp_bad = _run_probes(cfg, fam, xs, strict_gp=False, failed=failed)
 
-    forms = normalize_xi(fam, window, max_exceptions=max(1, len(window) // 10))
-    eval_errors = {}
+    evaluable = [alpha for alpha in window if alpha not in failed]
+    forms = normalize_xi(fam, evaluable, max_exceptions=max(1, len(window) // 10))
+    eval_errors = dict(failed)
     for alpha in window:
         try:
             xs.eval_point(alpha)
@@ -680,13 +712,12 @@ def _generate_random_gp(
     m: int = 1, q: Optional[int] = None, seed: int = 0, window=(1, 60), epsilon="1/2"
 ) -> ExperimentConfig:
     q = q if q is not None else m + 2
+    _check_shape(m, q)  # before the draw, which never ends for M < 0
     rng = random.Random(seed)
     while True:
         rows = [
             [rng.randint(-3, 3) for _ in range(m + 1)] for _ in range(q)
         ]
-        if q <= m:  # parse_config rejects q with its own message
-            break
         if all(any(row) for row in rows) and general_position_check(
             MovingHyperplaneFamily.from_texts([[str(c) for c in row] for row in rows]), 0
         ):

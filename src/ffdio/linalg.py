@@ -1,14 +1,22 @@
-"""Exact Gaussian elimination over any field with Python arithmetic operators.
+"""Exact Gaussian elimination, one path per field.
 
-Entries may be `fractions.Fraction` or `RatFunc`; zero testing is `== 0`
-(RatFunc compares against the constant). No pivoting heuristics are needed
-since arithmetic is exact. `rational_vectors` turns Q(t)-valued sequences
-into Q-vectors, so ranks over Q use the same elimination.
+Over Q(t) (entries `RatFunc`, or `fractions.Fraction`): `rref`, with `rank`
+and `solve` on top of it. Zero testing is `== 0` (RatFunc compares against the
+constant), and no pivoting heuristics are needed since arithmetic is exact.
+`det`, which `general_position_check` only compares with 0, still has a
+forward elimination of its own.
+
+Over Q: `GreedyBasis`, which keeps sparse primitive integer rows and
+eliminates fraction-free. `rational_vectors` turns Q(t)-valued sequences into
+the sparse Q-vectors it takes, so ranks over Q use that one path.
 """
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
-from typing import Sequence, TypeVar
+from math import gcd, lcm
+from operator import itemgetter
+from typing import Mapping, Sequence, TypeVar, Union
 
 from .ratfunc import ONE, RatFunc, poly_gcd
 
@@ -94,33 +102,72 @@ def det(rows: Sequence[Sequence[F]]):
     return result if sign == 1 else -result
 
 
-class GreedyBasis:
-    """Incremental independent-prefix selection over a field.
+QVector = Union[Sequence, Mapping[int, object]]  # dense, or sparse {column: value}
 
-    Feed vectors in order; `offer` returns True (and keeps the vector) iff it
-    is independent of everything accepted so far.
+
+def _primitive(vec: QVector) -> dict[int, int]:
+    """The nonzero entries of a Q-vector as a primitive integer row: the
+    denominators cleared and the content divided out, neither of which
+    changes independence."""
+    items = vec.items() if isinstance(vec, Mapping) else enumerate(vec)
+    entries = [(c, v) for c, v in items if v]
+    den = 1
+    for _, v in entries:
+        if v.denominator != 1:
+            den = lcm(den, v.denominator)
+    row = {c: v.numerator * (den // v.denominator) for c, v in entries}
+    return _divide_content(row)
+
+
+def _divide_content(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    if g > 1:
+        return {c: v // g for c, v in row.items()}
+    return row
+
+
+class GreedyBasis:
+    """Incremental independent-prefix selection over Q.
+
+    Feed Q-vectors (int or Fraction entries, dense or sparse) in order;
+    `offer` returns True (and keeps the vector) iff it is independent of
+    everything accepted so far. Stored rows are sparse primitive integer rows,
+    reduced fraction-free: row <- (pv/g)*row - (f/g)*red with g = gcd(f, pv).
     """
 
     def __init__(self):
-        self.reduced: list[tuple[int, list]] = []  # (pivot column, reduced row)
+        # (pivot column, primitive integer row), in pivot order
+        self.reduced: list[tuple[int, dict[int, int]]] = []
         self.accepted: list[int] = []
         self.count = 0
 
-    def offer(self, vec: Sequence[F]) -> bool:
-        row = list(vec)
+    def offer(self, vec: QVector) -> bool:
+        row = _primitive(vec)
         for pc, red in self.reduced:
-            if row[pc] != 0:
-                f = row[pc]
-                row = [a - f * b for a, b in zip(row, red)]
-        pivot = next((c for c, v in enumerate(row) if v != 0), None)
+            if not row:
+                break
+            f = row.get(pc)
+            if f is None:
+                continue
+            pv = red[pc]
+            g = gcd(f, pv)
+            a, b = pv // g, f // g
+            if a != 1:
+                row = {c: a * v for c, v in row.items()}
+            # red is zero left of pc, so the pivot columns already cleared stay zero.
+            for c, v in red.items():
+                x = row.get(c, 0) - b * v
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            if row:
+                row = _divide_content(row)
         idx = self.count
         self.count += 1
-        if pivot is None:
+        if not row:
             return False
-        pv = row[pivot]
-        row = [x / pv for x in row]
-        self.reduced.append((pivot, row))
-        self.reduced.sort(key=lambda pr: pr[0])
+        insort(self.reduced, (min(row), row), key=itemgetter(0))
         self.accepted.append(idx)
         return True
 
@@ -129,26 +176,30 @@ class GreedyBasis:
         return len(self.reduced)
 
 
-def rational_vectors(values_per_alpha: list[list[RatFunc]]) -> list[list[Fraction]]:
-    """Flatten K-valued columns into Q-vectors by clearing denominators per alpha.
+def rational_vectors(values_per_alpha: list[list[RatFunc]]) -> list[dict[int, Fraction]]:
+    """Flatten K-valued columns into sparse Q-vectors by clearing denominators
+    per alpha.
 
     values_per_alpha[i][m] is the value of item m at the i-th window index;
-    the result has one vector per item, concatenating t-coefficient blocks.
+    the result has one vector per item, concatenating t-coefficient blocks
+    and holding only the nonzero coefficients as {column: coefficient}.
     """
     n_items = len(values_per_alpha[0]) if values_per_alpha else 0
-    vectors: list[list[Fraction]] = [[] for _ in range(n_items)]
+    vectors: list[dict[int, Fraction]] = [{} for _ in range(n_items)]
+    offset = 0
     for values in values_per_alpha:
-        dens = [v.den for v in values]
         common = ONE
-        for d in dens:
+        for v in values:
+            d = v.den
             if common == ONE:
                 common = d
             elif d != ONE:
                 common = common * d // poly_gcd(common, d)
-        numerators = [v.num * (common // v.den) for v in values]
+        numerators = [v.num if v.den == common else v.num * (common // v.den) for v in values]
+        for vec, p in zip(vectors, numerators):
+            for i, c in enumerate(p.coeffs):
+                if c:
+                    vec[offset + i] = c
         width = max((p.degree for p in numerators), default=-1) + 1
-        width = max(width, 1)
-        for m, p in enumerate(numerators):
-            block = list(p.coeffs) + [Fraction(0)] * (width - len(p.coeffs))
-            vectors[m].extend(block)
+        offset += max(width, 1)
     return vectors

@@ -220,7 +220,9 @@ def smallness_report(
     """Per-alpha statistic max_j h(H_j(alpha)) / h(x(alpha)).
 
     Holds iff the statistic is non-increasing across the quarter checkpoints
-    beyond the window midpoint and is below delta at the window end.
+    beyond the window midpoint and is below delta at the window end. An index
+    where the point or a hyperplane fails to evaluate, or h(x) = 0, is an
+    exception.
     """
     window = tuple(window)
     ratios: dict[int, Fraction] = {}
@@ -228,13 +230,13 @@ def smallness_report(
     for alpha in window:
         try:
             hx = height_point(xs.eval_point(alpha))
+            if hx == 0:
+                exceptions.append(alpha)
+                continue
+            hmax = max(height_form(family.eval_form(j, alpha)) for j in range(family.q))
         except EvalError:
             exceptions.append(alpha)
             continue
-        if hx == 0:
-            exceptions.append(alpha)
-            continue
-        hmax = max(height_form(family.eval_form(j, alpha)) for j in range(family.q))
         ratios[alpha] = Fraction(hmax, hx)
     usable = [alpha for alpha in window if alpha in ratios]
     if len(usable) < max(2, len(window) // 2):

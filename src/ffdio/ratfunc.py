@@ -427,7 +427,8 @@ class RatFunc:
     def __pow__(self, n: int) -> "RatFunc":
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num ** n, self.den ** n)
+        # Powers of coprime num and den stay coprime; a monic den stays monic.
+        return RatFunc._reduced(self.num ** n, self.den ** n)
 
     def __str__(self) -> str:
         if self.den == ONE:

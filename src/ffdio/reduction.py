@@ -284,26 +284,26 @@ def check_transfer(site: TransferSite, C: TransferMatrix) -> None:
 def derive_and_pad(C: TransferMatrix) -> tuple[int, ...]:
     """Complete the derived forms to a full independent family by greedily
     appending coordinate forms in product-coordinate order; returns the
-    coordinates used as padding. The rows are constant, so one independent
-    rank check of [rows; padding] covers every stable index."""
+    coordinates used as padding.
+
+    The pivot columns of the transposed family [rows; unit vectors] are its
+    greedy first-independent choice. The rows are constant, so one
+    independent rank check of [rows; padding] covers every stable index."""
     n = C.n_cols
+    k = len(C.rows)
     one = RatFunc.constant(1)
     zero = RatFunc.constant(0)
     units = [[one if i == coord else zero for i in range(n)] for coord in range(n)]
-    greedy = linalg.GreedyBasis()
-    for idx, row in enumerate(C.rows):
-        if not greedy.offer(row):
-            raise ValueError(f"transfer row {idx} is dependent over Q(t)")
-    padding = []
-    for coord in range(n):
-        if greedy.rank == n:
-            break
-        if greedy.offer(units[coord]):
-            padding.append(coord)
-    assert greedy.rank == n, "independent rows must extend to a full basis"
+    family = list(C.rows) + units
+    _, pivots = linalg.rref([[vec[i] for vec in family] for i in range(n)])
+    dependent = next((idx for idx in range(k) if idx not in pivots), None)
+    if dependent is not None:
+        raise ValueError(f"transfer row {dependent} is dependent over Q(t)")
+    padding = tuple(pc - k for pc in pivots[k:])
+    assert len(pivots) == n, "independent rows must extend to a full basis"
     if linalg.rank(list(C.rows) + [units[c] for c in padding]) != n:
         raise ExactIdentityError(f"derived family degenerates for place {C.sel.place}")
-    return tuple(padding)
+    return padding
 
 
 @dataclass(frozen=True)

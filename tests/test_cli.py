@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ffdio
 from ffdio import harness
 from ffdio.cli import main
 from ffdio.harness import generate
@@ -157,6 +162,53 @@ class TestExperimentCommands:
         code, out, err = run_cli(capsys, mode, str(path))
         assert code == 1 and out == ""
         assert err == "error: S[1]: duplicate place t\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--m", "-1"], "M: must be an integer in [1, 4]"),
+            (["--m", "7"], "M: must be an integer in [1, 4]"),
+            (["--m", "1", "--q", "99"], "q: must be an integer in [M+1, 12]"),
+        ],
+    )
+    def test_random_gp_rejects_its_shape_before_drawing(self, argv, message):
+        # In a subprocess with a timeout, so that a generator that never
+        # returns fails the test instead of hanging the suite.
+        src = str(Path(ffdio.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys; from ffdio.cli import main; sys.exit(main(sys.argv[1:]))"
+        done = subprocess.run(
+            [sys.executable, "-c", code, "generate", "random-gp", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "mode, coeff",
+        [("verify", "1/(a-7)"), ("reduce", "1/(a-7)"), ("wang", "(a-7)/(a-7)")],
+    )
+    def test_unevaluable_hyperplane_index_is_excluded(self, capsys, tmp_path, mode, coeff):
+        data = {
+            "M": 1,
+            "q": 3,
+            "S": ["t", "inf"],
+            "points": ["1", "t^a"],
+            "hyperplanes": [["1", "0"], ["0", "1"], ["1", coeff]],
+            "window": [1, 20],
+            "epsilon": "1/2",
+            "thresholds": {"smallness_delta": "3/4"},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run_cli(capsys, mode, str(path))
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["verdict"] == "PASS"
+        excluded = {r["alpha"]: r["note"] for r in report["rows"] if r["excluded"]}
+        assert excluded[7] == "at index 7: division by zero"
+        assert report["probes"]["general_position"]["failing_indices"] == []
+        assert 7 in report["probes"]["smallness"]["exceptions"]
 
     def test_seed_is_not_a_run_flag(self, capsys, fermat_config):
         with pytest.raises(SystemExit) as exc:

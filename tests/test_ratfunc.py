@@ -233,6 +233,16 @@ class TestFastPathsAgainstSympy:
         _check(RatFunc(p ** n), _sym(p) ** n)
         _check(RatFunc(p) ** n, _sym(p) ** n)
 
+    @given(ratfuncs(3, coeffs=fractions()), st.integers(-4, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_ratfunc_pow(self, r, n):
+        """r ** n builds its reduced result with no gcd, for every sign of n."""
+        if r.is_zero() and n < 0:
+            with pytest.raises(ZeroDivisionError):
+                r ** n
+            return
+        _check(r ** n, (_sym(r.num) / _sym(r.den)) ** n)
+
     @given(fractions().filter(bool), fractions())
     @settings(max_examples=80, deadline=None)
     def test_factorize_degree_one(self, a, b):

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ffdio import reduction
+from ffdio import linalg, reduction
 from ffdio.heights import LinearForm
 from ffdio.moving import (
     MovingHyperplaneFamily,
@@ -14,6 +16,8 @@ from ffdio.moving import (
 from ffdio.places import INFINITY, PrimeDivisor
 from ffdio.ratfunc import Poly, RatFunc
 from ffdio.steinmetz import choose_s, extend_basis, monomial_sequence
+
+from conftest import ratfuncs
 
 T_PLACE = PrimeDivisor(Poly([0, 1]))
 WINDOW = window_range(1, 20)
@@ -156,6 +160,38 @@ class TestTransfer:
         bad = reduction.TransferMatrix(sel=sel, rows=((one, zero), (two, zero)), ls=1, ls1=1, m=1)
         with pytest.raises(ValueError, match=r"^transfer row 1 is dependent over Q\(t\)$"):
             reduction.derive_and_pad(bad)
+
+    def test_padding_follows_the_greedy_rule_over_qt(self):
+        # e_0 extends the rows; e_1 = ((1, t, 0, 0) - e_0) / t then does not.
+        forms, xs, table = fermat_table()
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
+        t, one, zero = RatFunc(Poly([0, 1])), RatFunc.constant(1), RatFunc.constant(0)
+        rows = ((one, t, zero, zero), (zero, zero, t, one))
+        C = reduction.TransferMatrix(sel=sel, rows=rows, ls=1, ls1=2, m=1)
+        assert reduction.derive_and_pad(C) == (0, 2)
+
+    @given(st.lists(st.lists(ratfuncs(2), min_size=4, max_size=4), min_size=1, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_padding_matches_greedy_rank_tests(self, rows):
+        """derive_and_pad against a greedy completion by rank tests alone."""
+        forms, xs, table = fermat_table()
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
+        C = reduction.TransferMatrix(sel=sel, rows=tuple(map(tuple, rows)), ls=1, ls1=2, m=1)
+        one, zero = RatFunc.constant(1), RatFunc.constant(0)
+        family = []
+        for idx, row in enumerate(rows):
+            if linalg.rank(family + [row]) == len(family):
+                with pytest.raises(ValueError, match=rf"^transfer row {idx} is dependent over Q\(t\)$"):
+                    reduction.derive_and_pad(C)
+                return
+            family.append(row)
+        padding = []
+        for coord in range(4):
+            unit = [one if i == coord else zero for i in range(4)]
+            if linalg.rank(family + [unit]) > len(family):
+                family.append(unit)
+                padding.append(coord)
+        assert reduction.derive_and_pad(C) == tuple(padding)
 
     def test_rank_is_rechecked_apart_from_the_greedy_basis(self, monkeypatch):
         forms, xs, table = fermat_table()
