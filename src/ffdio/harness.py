@@ -23,6 +23,7 @@ from .moving import (
     PointSequence,
     Sequence,
     WindowVerdict,
+    evaluate_forms,
     general_position_check,
     nondegeneracy_probe,
     normalize_xi,
@@ -345,34 +346,29 @@ def _probe_summary(verdict: WindowVerdict) -> dict:
     }
 
 
-def _unevaluable(fam, window) -> dict[int, str]:
-    """Window indices where a hyperplane coefficient fails to evaluate, with
-    the error. Every run mode excludes them with that note, as it does an
-    index where the point fails."""
-    failed = {}
-    for alpha in window:
-        try:
-            for j in range(fam.q):
-                fam.eval_form(j, alpha)
-        except EvalError as exc:
-            failed[alpha] = str(exc)
-    return failed
-
-
 def _run_probes(
-    cfg: ExperimentConfig, fam, xs, strict_gp: bool, failed: dict[int, str]
+    cfg: ExperimentConfig,
+    fam,
+    xs,
+    strict_gp: bool,
+    forms: dict[int, tuple[LinearForm, ...]],
 ) -> tuple[dict, list[int]]:
     """Run the hypothesis probes. Returns (summaries, gp-failing indices).
 
-    With strict_gp, any general-position failure refuses the run; otherwise
-    the failing indices are reported for per-index exclusion. General
-    position is not probed at the `failed` indices.
+    `forms` holds the evaluated forms at each index where they evaluate;
+    general position is not probed at the others. A probe's answer depends
+    only on the evaluated family, so general position is checked once per
+    distinct family, at its first index. With strict_gp, any
+    general-position failure refuses the run; otherwise the failing indices
+    are reported for per-index exclusion.
     """
     window = cfg.window_indices()
-    gp_bad = [
-        alpha for alpha in window if alpha not in failed and not general_position_check(fam, alpha)
-    ]
-    small = smallness_report(fam, xs, window, cfg.smallness_delta)
+    in_gp: dict[tuple[LinearForm, ...], bool] = {}
+    for alpha, family in forms.items():
+        if family not in in_gp:
+            in_gp[family] = general_position_check(fam, alpha)
+    gp_bad = [alpha for alpha, family in forms.items() if not in_gp[family]]
+    small = smallness_report(fam, xs, window, cfg.smallness_delta, forms)
     nondeg = nondegeneracy_probe(xs, window)
     probes = {
         "general_position": {"holds": not gp_bad, "failing_indices": gp_bad},
@@ -465,8 +461,8 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
     xs = cfg.point_sequence()
     places = cfg.places()
     window = cfg.window_indices()
-    failed = _unevaluable(fam, window)
-    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True, failed=failed)
+    forms, failed = evaluate_forms(fam, window)
+    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True, forms=forms)
 
     def per_alpha(alpha: int) -> ReportRow:
         try:
@@ -478,8 +474,7 @@ def run_verify(cfg: ExperimentConfig) -> VerificationReport:
         hx = height_point(x)
         e_x = {p: e_point(x, p) for p in places}
         lams = []
-        for j in range(cfg.q):
-            form = fam.eval_form(j, alpha)
+        for j, form in enumerate(forms[alpha]):
             value = form.apply(x)
             if value.is_zero():
                 return _excluded(alpha, cfg.q, f"point on hyperplane {j}", hx)
@@ -509,17 +504,17 @@ def run_wang_check(cfg: ExperimentConfig) -> VerificationReport:
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
     window = cfg.window_indices()
-    failed = _unevaluable(fam, window)
-    evaluable = [alpha for alpha in window if alpha not in failed]
+    evaluated, failed = evaluate_forms(fam, window)
+    evaluable = list(evaluated)
     for j in range(cfg.q):
         for l in range(cfg.m + 1):
             if not fam.rows[j][l].is_constant_on(evaluable):
                 raise ConfigError(
                     f"hyperplanes[{j}][{l}]: fixed-target checks need constant coefficients"
                 )
-    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True, failed=failed)
+    probes, _ = _run_probes(cfg, fam, xs, strict_gp=True, forms=evaluated)
 
-    forms = [fam.eval_form(j, evaluable[0]) for j in range(cfg.q)]
+    forms = list(evaluated[evaluable[0]])
     subsets = admissible_subsets(forms, cfg.m)
     places = cfg.places()
 
@@ -576,10 +571,10 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
     fam = cfg.hyperplane_family()
     xs = cfg.point_sequence()
     window = cfg.window_indices()
-    failed = _unevaluable(fam, window)
-    probes, gp_bad = _run_probes(cfg, fam, xs, strict_gp=False, failed=failed)
+    evaluated, failed = evaluate_forms(fam, window)
+    probes, gp_bad = _run_probes(cfg, fam, xs, strict_gp=False, forms=evaluated)
 
-    evaluable = [alpha for alpha in window if alpha not in failed]
+    evaluable = list(evaluated)
     forms = normalize_xi(fam, evaluable, max_exceptions=max(1, len(window) // 10))
     eval_errors = dict(failed)
     for alpha in window:

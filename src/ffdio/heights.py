@@ -3,6 +3,11 @@
 Heights are exact integers (degree sums); nothing here is approximate. All
 outputs are invariant under scaling a point's coordinates or a form's
 coefficients by a common nonzero rational function.
+
+A height takes one lcm of the denominators and one gcd of the cleared
+coordinates, and factors nothing: h([f_0 : ... : f_M]) = max deg F_i -
+deg gcd(F_i), where F_i = f_i * lcm(dens) are polynomials. Only `weil_total`,
+which sums over the support of its arguments, factors.
 """
 from __future__ import annotations
 
@@ -10,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence as Seq
 
 from .places import INFINITY, PrimeDivisor, divisor_of, ord_at
-from .ratfunc import RatFunc
+from .ratfunc import ONE, RatFunc, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -94,9 +99,31 @@ def _support(values: Seq[RatFunc]) -> set[PrimeDivisor]:
 
 
 def _height(values: Seq[RatFunc]) -> int:
-    h = -sum(_min_ord(values, p) * p.degree for p in _support(values))
-    assert h >= 0, "height must be nonnegative"
-    return h
+    """max deg F_i - deg gcd(F_i) over the nonzero values f_i, F_i = f_i * D
+    with D the lcm of their denominators. Summed over the places, this is
+    -min ord_p(f_i) * deg p: at infinity the max degree, at the finite places
+    minus the degree of the gcd."""
+    nonzero = [v for v in values if not v.is_zero()]
+    if not nonzero:
+        raise ValueError("all values are zero")
+    common = ONE
+    for v in nonzero:
+        if v.den.degree == 0 or v.den == common:
+            continue
+        if common.degree == 0:
+            common = v.den
+        else:  # both monic, so the lcm is monic
+            common = common * (v.den // poly_gcd(common, v.den))
+    polys = [v.num if v.den == common else v.num * (common // v.den) for v in nonzero]
+    top = max(f.degree for f in polys)
+    if any(f.degree == 0 for f in polys):  # a constant has gcd 1 with the rest
+        return top
+    g = polys[0]
+    for f in polys[1:]:
+        g = poly_gcd(g, f)
+        if g.degree == 0:
+            break
+    return top - g.degree
 
 
 def height_point(x: ProjPoint) -> int:

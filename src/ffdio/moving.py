@@ -211,33 +211,57 @@ def general_position_check(family, alpha: int) -> bool:
     return True
 
 
+def evaluate_forms(
+    family, window: Seq[int]
+) -> tuple[dict[int, tuple[LinearForm, ...]], dict[int, str]]:
+    """The evaluated forms (H_1(alpha), ..., H_q(alpha)) at each window index,
+    and apart from them the indices where a coefficient fails to evaluate,
+    with the error. Every run mode excludes such an index with that note, as
+    it does an index where the point fails."""
+    forms: dict[int, tuple[LinearForm, ...]] = {}
+    failed: dict[int, str] = {}
+    for alpha in window:
+        try:
+            forms[alpha] = tuple(family.eval_form(j, alpha) for j in range(family.q))
+        except EvalError as exc:
+            failed[alpha] = str(exc)
+    return forms, failed
+
+
 def smallness_report(
     family,
     xs: PointSequence,
     window: Seq[int],
     delta: Fraction,
+    forms: Optional[dict[int, tuple[LinearForm, ...]]] = None,
 ) -> WindowVerdict:
     """Per-alpha statistic max_j h(H_j(alpha)) / h(x(alpha)).
 
     Holds iff the statistic is non-increasing across the quarter checkpoints
     beyond the window midpoint and is below delta at the window end. An index
     where the point or a hyperplane fails to evaluate, or h(x) = 0, is an
-    exception.
+    exception. `forms` are the family's evaluated forms per index, as
+    `evaluate_forms` returns them, when the caller has them already. The
+    maximum is taken once per distinct evaluated family.
     """
     window = tuple(window)
+    if forms is None:
+        forms, _ = evaluate_forms(family, window)
+    hmax: dict[tuple[LinearForm, ...], int] = {}
     ratios: dict[int, Fraction] = {}
     exceptions = []
     for alpha in window:
         try:
             hx = height_point(xs.eval_point(alpha))
-            if hx == 0:
-                exceptions.append(alpha)
-                continue
-            hmax = max(height_form(family.eval_form(j, alpha)) for j in range(family.q))
         except EvalError:
+            hx = None
+        if not hx or alpha not in forms:
             exceptions.append(alpha)
             continue
-        ratios[alpha] = Fraction(hmax, hx)
+        at = forms[alpha]
+        if at not in hmax:
+            hmax[at] = max(height_form(form) for form in at)
+        ratios[alpha] = Fraction(hmax[at], hx)
     usable = [alpha for alpha in window if alpha in ratios]
     if len(usable) < max(2, len(window) // 2):
         raise ValueError("h(x(alpha)) vanishes (or fails) on most of the window")

@@ -71,6 +71,11 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^(),]))")
 
 _BUILTINS = {"floor_div": 2, "ilog2": 1}
 
+# A power larger than this is an evaluation error, raised before it is built.
+# The bundled profiles reach degree 4 * 200 (fixed-fermat, M=4, on 1..200).
+MAX_POWER_DEGREE = 10_000
+MAX_POWER_BITS = 1_000_000  # of a constant power's numerator or denominator
+
 
 def _tokenize(text: str):
     tokens = []
@@ -202,6 +207,23 @@ def _int_value(value: RatFunc, alpha: Optional[int], what: str) -> int:
     return int(f)
 
 
+def _check_power_size(base: RatFunc, exp: int, alpha: Optional[int]) -> None:
+    """Refuse base ** exp if its degree, or the bit length of a constant
+    power, would exceed the caps; computed from the base and exponent alone."""
+    n = abs(exp)
+    degree = max(base.num.degree, base.den.degree) * n
+    if degree > MAX_POWER_DEGREE:
+        raise EvalError(f"power of degree {degree} exceeds the cap {MAX_POWER_DEGREE}", alpha)
+    if base.is_constant():
+        c = base.as_fraction()
+        if abs(c.numerator) > 1 or c.denominator > 1:
+            bits = max(c.numerator.bit_length(), c.denominator.bit_length()) * n
+            if bits > MAX_POWER_BITS:
+                raise EvalError(
+                    f"constant power of {bits} bits exceeds the cap {MAX_POWER_BITS}", alpha
+                )
+
+
 def evaluate(node: Node, alpha: Optional[int] = None) -> RatFunc:
     """Evaluate an expression to an element of Q(t); alpha binds the variable a."""
     if isinstance(node, Num):
@@ -231,6 +253,7 @@ def evaluate(node: Node, alpha: Optional[int] = None) -> RatFunc:
         exp = _int_value(evaluate(node.exponent, alpha), alpha, "exponent")
         if exp < 0 and base.is_zero():
             raise EvalError("zero raised to a negative power", alpha)
+        _check_power_size(base, exp, alpha)
         return base ** exp
     if isinstance(node, Call):
         args = [

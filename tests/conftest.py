@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import permutations
 
+import pytest
 from hypothesis import strategies as st
 
+from ffdio.parser import MAX_POWER_DEGREE
 from ffdio.ratfunc import Poly, RatFunc
 
 small_ints = st.integers(-9, 9)
@@ -40,3 +42,17 @@ def det_cofactor(rows):
             term = -term
         total = term if total is None else total + term
     return total
+
+
+@pytest.fixture
+def no_huge_powers(monkeypatch):
+    """Fail the test if anything asks Poly.__pow__ for an exponent above the
+    degree cap: a power that large must be refused before it is built."""
+    original = Poly.__pow__
+
+    def guarded(self, n):
+        if n > MAX_POWER_DEGREE:
+            pytest.fail(f"Poly.__pow__ called with exponent {n}")
+        return original(self, n)
+
+    monkeypatch.setattr(Poly, "__pow__", guarded)

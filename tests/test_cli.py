@@ -52,6 +52,11 @@ class TestScalarCommands:
         code, _, err = run_cli(capsys, "height", "1,1/(t-t)")
         assert code == 1 and err.startswith("error: ")
 
+    def test_huge_power_exits_1(self, capsys, no_huge_powers):
+        code, out, err = run_cli(capsys, "height", "1, t^1000000000")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
 
 class TestSpaceCommands:
     def test_lspace(self, capsys):

@@ -1,9 +1,11 @@
 import json
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from ffdio import harness, places
 from ffdio.harness import (
     ConfigError,
     ProbeRefusal,
@@ -17,6 +19,7 @@ from ffdio.harness import (
 )
 
 from conftest import det_cofactor
+from test_report_digests import PARTIAL_GP
 
 
 def base_config(**overrides):
@@ -78,6 +81,11 @@ class TestConfigValidation:
         bad = base_config(hyperplanes=[["1", "0"], ["2", "0"], ["0", "1"]])
         with pytest.raises(ConfigError, match="general position"):
             parse_config(bad)
+
+    def test_huge_power_in_a_hyperplane(self, no_huge_powers):
+        huge = base_config(hyperplanes=[["1", "0"], ["0", "1"], ["1", "t^(10^9)"]])
+        with pytest.raises(ConfigError, match="hyperplanes: evaluation failed at index 1"):
+            parse_config(huge)
 
 
 class TestGenerate:
@@ -281,3 +289,61 @@ class TestReports:
         b = run_verify(generate("fixed-fermat", window=(1, 15)))
         assert a.to_csv() == b.to_csv()
         assert a.to_json() == b.to_json()
+
+
+class TestProbes:
+    def test_partial_general_position_failure_refuses_verify(self):
+        with pytest.raises(ProbeRefusal) as exc:
+            run_verify(parse_config(PARTIAL_GP, "verify"))
+        assert "general position fails at [4, 5]" in str(exc.value)
+        assert exc.value.probes["general_position"] == {
+            "holds": False,
+            "failing_indices": [4, 5],
+        }
+
+    @pytest.mark.parametrize(
+        "config, checked_at, failing",
+        [
+            # slow-coeff's fifth hyperplane is [1 : t^ilog2(a) : 2], so its
+            # family on 8..24 takes one value on 8..15 and one on 16..24.
+            (lambda: generate("slow-coeff", window=(8, 24)), [8, 16], []),
+            # [1 : a-5] differs at every index.
+            (lambda: parse_config(PARTIAL_GP, "reduce"), list(range(1, 31)), [4, 5]),
+        ],
+        ids=["slow-coeff", "partial-gp"],
+    )
+    def test_general_position_once_per_distinct_family(
+        self, monkeypatch, config, checked_at, failing
+    ):
+        cfg = config()
+        calls = []
+        original = harness.general_position_check
+
+        def counting(family, alpha):
+            calls.append(alpha)
+            return original(family, alpha)
+
+        monkeypatch.setattr(harness, "general_position_check", counting)
+        report = run_reduction(cfg)
+        assert calls == checked_at
+        assert report.probes["general_position"]["failing_indices"] == failing
+        assert [r.alpha for r in report.rows if r.excluded] == failing
+
+
+@pytest.mark.parametrize("mode", ["verify", "wang", "reduce"])
+def test_runs_factor_nothing_for_heights(monkeypatch, mode):
+    """Heights take an lcm and a gcd, so a run calls `divisor_of` nowhere; it
+    reaches `factorize` only through `parse_prime`."""
+    cfg = generate("fixed-fermat", m=1, window=(1, 40))
+    calls = []
+    original = places.divisor_of
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ffdio" and getattr(module, "divisor_of", None) is original:
+            monkeypatch.setattr(module, "divisor_of", counting)
+    harness.run(mode, cfg)
+    assert calls == []

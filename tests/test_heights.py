@@ -15,10 +15,10 @@ from ffdio.heights import (
     weil_total,
 )
 from ffdio.parser import parse_ratfunc
-from ffdio.places import INFINITY, PrimeDivisor, parse_prime
+from ffdio.places import INFINITY, PrimeDivisor, divisor_of, ord_at, parse_prime
 from ffdio.ratfunc import Poly, RatFunc
 
-from conftest import ratfuncs
+from conftest import fractions, polys, ratfuncs
 
 T_PLACE = PrimeDivisor(Poly([0, 1]))
 
@@ -63,6 +63,78 @@ class TestHeights:
     def test_zero_point_rejected(self):
         with pytest.raises(ValueError):
             ProjPoint((RatFunc(Poly()), RatFunc(Poly())))
+
+
+def height_by_support(values):
+    """The definition: -sum of min_i ord_p(f_i) * deg p over the places p in the
+    support of the nonzero coordinates, and infinity. Factors every one."""
+    nonzero = [v for v in values if not v.is_zero()]
+    support = {INFINITY}
+    for v in nonzero:
+        support.update(p for p, _ in divisor_of(v).support)
+    return -sum(min(ord_at(v, p) for v in nonzero) * p.degree for p in support)
+
+
+# t, t + 1 and the degree-2 places t^2 + 1 and t^2 - 2.
+PLACE_POLYS = [Poly([0, 1]), Poly([1, 1]), Poly([1, 0, 1]), Poly([-2, 0, 1])]
+
+
+def _product(factors):
+    acc = Poly([1])
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
+place_products = st.lists(st.sampled_from(PLACE_POLYS), max_size=3).map(_product)
+
+# Zero, a nonzero constant, or c * A * f / B with A, B products of places.
+coordinates = st.one_of(
+    st.just(RatFunc.constant(0)),
+    fractions().filter(bool).map(RatFunc.constant),
+    st.builds(
+        lambda c, a, f, b: RatFunc(a * f * c, b),
+        fractions().filter(bool),
+        place_products,
+        polys(max_degree=2, nonzero=True),
+        place_products,
+    ),
+)
+
+# The coordinates times one shared factor A / B, so that they share
+# polynomial factors and denominators.
+projective = st.builds(
+    lambda cs, a, b: tuple(v * RatFunc(a, b) for v in cs),
+    st.lists(coordinates, min_size=1, max_size=4),
+    place_products,
+    place_products,
+).filter(any)
+
+
+class TestHeightByGcd:
+    @pytest.mark.parametrize(
+        "coords, expected",
+        [
+            (("t*(t+1)", "t^2"), 1),
+            (("0", "t^3", "0"), 0),
+            (("1/(t^2+1)", "t/(t^2+1)"), 1),
+            (("(t^2+1)/t", "(t^2+1)*(t+1)/(t^2-2)"), 2),
+            (("2", "t^2+1", "0"), 2),
+            (("1/2*t^3", "3/4*t^2*(t+1)"), 1),
+        ],
+    )
+    def test_examples(self, coords, expected):
+        values = tuple(parse_ratfunc(s) for s in coords)
+        assert height_point(ProjPoint(values)) == expected
+        assert height_form(LinearForm(values)) == expected
+        assert height_by_support(values) == expected
+
+    @given(projective)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_support_definition(self, values):
+        expected = height_by_support(values)
+        assert height_point(ProjPoint(values)) == expected
+        assert height_form(LinearForm(values)) == expected
 
 
 class TestWeil:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from ffdio import moving
 from ffdio.moving import (
     MovingHyperplaneFamily,
     PointSequence,
@@ -109,6 +110,25 @@ class TestProbes:
         verdict = smallness_report(fam, xs, window_range(8, 64), Fraction(1, 10))
         assert verdict.holds
         assert verdict.statistic == Fraction(6, 128)
+
+    def test_smallness_takes_each_family_once(self, monkeypatch):
+        """On 8..64 the family takes three values (ilog2(a) = 3, 4, 5) and one
+        more at a = 64, so the four forms' heights are taken 4 * 4 times."""
+        fam = MovingHyperplaneFamily.from_texts(
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["1", "t^ilog2(a)", "2"]]
+        )
+        xs = PointSequence.from_texts(["1", "t^a", "t^(2*a)"])
+        calls = []
+        original = moving.height_form
+
+        def counting(form):
+            calls.append(form)
+            return original(form)
+
+        monkeypatch.setattr(moving, "height_form", counting)
+        verdict = smallness_report(fam, xs, window_range(8, 64), Fraction(1, 10))
+        assert verdict.statistic == Fraction(6, 128)
+        assert len(calls) == 4 * 4
 
     def test_smallness_fails_for_fast_targets(self):
         fam = MovingHyperplaneFamily.from_texts([["1", "0"], ["0", "1"], ["1", "t^a"]])

@@ -3,7 +3,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from ffdio.parser import EvalError, ParseError, evaluate, parse_expression, parse_ratfunc
+from ffdio.parser import (
+    MAX_POWER_BITS,
+    MAX_POWER_DEGREE,
+    EvalError,
+    ParseError,
+    evaluate,
+    parse_expression,
+    parse_ratfunc,
+)
 from ffdio.ratfunc import Poly, RatFunc
 
 from conftest import ratfuncs
@@ -73,3 +81,38 @@ class TestIndexExpressions:
 
     def test_negative_index_power(self):
         assert self.eval_text("t^(-a)", 2) == RatFunc(Poly([1]), Poly([0, 0, 1]))
+
+
+class TestPowerCaps:
+    @pytest.mark.parametrize(
+        "text, what",
+        [
+            ("t^1000000000", "degree"),
+            ("t^(10^9)", "degree"),
+            ("(t+1)^(-1000000000)", "degree"),
+            ("1/(t^2+1)^600000000", "degree"),
+            ("2^(10^9)", "bits"),
+            ("(1/3)^(10^9)", "bits"),
+            ("(-7)^(-1000000000)", "bits"),
+        ],
+    )
+    def test_huge_power_refused_before_it_is_built(self, no_huge_powers, text, what):
+        with pytest.raises(EvalError, match=what):
+            parse_ratfunc(text)
+
+    def test_index_power_refused_with_its_index(self, no_huge_powers):
+        with pytest.raises(EvalError, match="at index 3"):
+            evaluate(parse_expression("t^(a*10^9)", index=True), 3)
+
+    def test_caps_are_inclusive(self):
+        assert parse_ratfunc(f"t^{MAX_POWER_DEGREE}").num.degree == MAX_POWER_DEGREE
+        with pytest.raises(EvalError):
+            parse_ratfunc(f"t^{MAX_POWER_DEGREE + 1}")
+        assert parse_ratfunc(f"2^{MAX_POWER_BITS // 2}") == RatFunc.constant(2 ** (MAX_POWER_BITS // 2))
+        with pytest.raises(EvalError):
+            parse_ratfunc(f"2^{MAX_POWER_BITS // 2 + 1}")
+
+    def test_units_and_zero_have_no_size(self):
+        assert parse_ratfunc("1^(10^9)") == RatFunc.constant(1)
+        assert parse_ratfunc("(-1)^(10^9 + 1)") == RatFunc.constant(-1)
+        assert parse_ratfunc("0^(10^9)") == RatFunc.constant(0)

@@ -34,6 +34,19 @@ ON_HYPERPLANE = {
     "thresholds": {"smallness_delta": "1/4"},
 }
 
+# Two of the four hyperplanes coincide at alpha = 4 and alpha = 5. reduce
+# reports general position failing there and excludes both indices; verify
+# refuses the run.
+PARTIAL_GP = {
+    "M": 1,
+    "q": 4,
+    "S": ["t", "inf"],
+    "points": ["1", "t^a"],
+    "hyperplanes": [["1", "0"], ["0", "1"], ["1", "-1"], ["1", "a-5"]],
+    "window": [1, 30],
+    "epsilon": "1/2",
+}
+
 
 def _with_places(cfg, places):
     """The config with another place set S, for runs beyond {t, inf}."""
@@ -82,6 +95,12 @@ CASES = {
         lambda: parse_config(ON_HYPERPLANE, "reduce"),
         "2a2e333885ef98a7d634d8cd6cd4a879386f50edece648e723c8adec42419349",
         "b619848b06be0018e7805727abc754a374a41e498c725e4d60c923286d943834",
+    ),
+    "partial-gp-reduce": (
+        "reduce",
+        lambda: parse_config(PARTIAL_GP, "reduce"),
+        "1f1f5574c6a94e5e8d304febe124efaf28cc848012c60f23450e196cd523b97f",
+        "eddb64f3345d4d236ae868137ecf66c1e3839d8ed3483352d0dabfc8c47722ba",
     ),
     "degree-2-place-reduce": (
         "reduce",
