@@ -7,8 +7,12 @@ constant), and no pivoting heuristics are needed since arithmetic is exact.
 forward elimination of its own.
 
 Over Q: `GreedyBasis`, which keeps sparse primitive integer rows and
-eliminates fraction-free. `rational_vectors` turns Q(t)-valued sequences into
-the sparse Q-vectors it takes, so ranks over Q use that one path.
+eliminates fraction-free, so ranks over Q use that one path.
+`rational_vectors` turns Q(t)-valued sequences into the sparse Q-vectors it
+takes, over one denominator lcm per index; `build_transfer` uses it for the
+independence of the products b_mu * x_nu. The Q-ranks of monomial spaces skip
+it: `steinmetz` feeds cleared integer numerators, with one product per
+monomial, and takes a gcd only where the generators' denominators differ.
 """
 from __future__ import annotations
 

@@ -282,7 +282,10 @@ def sequence_rank_over_q(
     seqs: Seq[Sequence], window: Seq[int]
 ) -> tuple[int, list[int]]:
     """Rank over Q of a family of K-valued sequences on the window, plus the
-    greedy first-independent prefix indices in the given order."""
+    greedy first-independent prefix indices in the given order.
+
+    No run path calls it: `steinmetz` ranks monomials from cleared integer
+    numerators, and the tests keep this as the reference for those ranks."""
     values_per_alpha = [[s.eval(alpha) for s in seqs] for alpha in window]
     vectors = linalg.rational_vectors(values_per_alpha)
     greedy = linalg.GreedyBasis()

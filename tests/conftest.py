@@ -56,3 +56,22 @@ def no_huge_powers(monkeypatch):
         return original(self, n)
 
     monkeypatch.setattr(Poly, "__pow__", guarded)
+
+
+@pytest.fixture
+def no_huge_monomial_lists(monkeypatch):
+    """Fail the test if anything asks `steinmetz.monomials` for a degree s
+    whose monomials of degree <= s outnumber the cap: such a degree must be
+    refused before its monomials are listed."""
+    from math import comb
+
+    from ffdio import steinmetz
+
+    original = steinmetz.monomials
+
+    def guarded(xi_count, s):
+        if comb(xi_count + s, s) > steinmetz.MAX_MONOMIALS:
+            pytest.fail(f"monomials({xi_count}, {s}) called")
+        return original(xi_count, s)
+
+    monkeypatch.setattr(steinmetz, "monomials", guarded)

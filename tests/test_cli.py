@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -71,6 +72,68 @@ class TestSpaceCommands:
             capsys, "choose-s", "--xis", "1; t^a", "--delta", "1/10", "--window", "1..40"
         )
         assert code == 0 and out.strip() == "9"
+
+    # The three family shapes of the benchmark's monomial-spaces workload, at
+    # two draws of their constants each. The constants do not move l(s), so
+    # the draws of one shape share a digest.
+    POWER_DIGEST = "ebae9595d3a1fd95594df14ca52c83a4e9a705676c6afe5bda7fdf2b678b5f89"
+    ILOG2_DIGEST = "75b364c1e7bd22bbe33420a7cf5c3ca9635aa7f1669f262885c471b6b9c4d02d"
+    SPACE_FAMILIES = {
+        "power-3": ("1; 3*t^a", "1/8", "1..30", POWER_DIGEST),
+        "power-7": ("1; 7*t^a", "1/8", "1..30", POWER_DIGEST),
+        "ilog2-linear-2": ("1; t^ilog2(a); t+2", "1/2", "8..40", ILOG2_DIGEST),
+        "ilog2-linear-5": ("1; t^ilog2(a); t+5", "1/2", "8..40", ILOG2_DIGEST),
+        "ilog2-moebius-1-3": ("1; t^ilog2(a); (t+1)/(t-3)", "1/2", "8..40", ILOG2_DIGEST),
+        "ilog2-moebius-4-2": ("1; t^ilog2(a); (t+4)/(t-2)", "1/2", "8..40", ILOG2_DIGEST),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACE_FAMILIES))
+    def test_spaces_output_digest(self, capsys, name):
+        """sha256 of the stdout of `choose-s`, then `lspace` at s and at s+1."""
+        xis, delta, window, digest = self.SPACE_FAMILIES[name]
+        code, chosen, _ = run_cli(
+            capsys, "choose-s", "--xis", xis, "--delta", delta, "--window", window
+        )
+        assert code == 0
+        s = int(chosen)
+        text = chosen
+        for degree in (s, s + 1):
+            code, out, _ = run_cli(
+                capsys, "lspace", "--xis", xis, "--s", str(degree), "--window", window
+            )
+            assert code == 0
+            text += out
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+    def test_degree_0_evaluates_no_generator(self, capsys):
+        code, out, err = run_cli(
+            capsys, "lspace", "--xis", "1/(a-3); t", "--s", "0", "--window", "1..5"
+        )
+        assert (code, out, err) == (0, "l(0) = 1\n0 0\n", "")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lspace", "--xis", "1/(a-3); t", "--s", "1", "--window", "1..5"],
+            ["lspace", "--xis", "t; 1/(a-3)", "--s", "2", "--window", "1..5"],
+            ["choose-s", "--xis", "1; 1/(a-3)", "--delta", "1/2", "--window", "1..5"],
+        ],
+    )
+    def test_unevaluable_generator_exits_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: at index 3: division by zero\n")
+
+    def test_negative_s_max_exits_1(self, capsys):
+        code, out, err = run_cli(
+            capsys, "choose-s", "--xis", "1; t^a", "--delta", "1/2", "--window", "1..5", "--s-max", "-1"
+        )
+        assert (code, out, err) == (1, "", "error: s_max: must be a nonnegative integer\n")
+
+    def test_monomial_cap_exits_1(self, capsys, no_huge_monomial_lists):
+        xis = "; ".join(f"t^{k}" for k in range(20))
+        code, out, err = run_cli(capsys, "lspace", "--xis", xis, "--s", "30", "--window", "1..3")
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "exceed the cap" in err
 
 
 class TestExperimentCommands:
