@@ -11,7 +11,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .harness import ConfigError, ProbeRefusal, generate, load_experiment, run
+from .harness import ConfigError, ProbeRefusal, check_window_length, generate, load_experiment, run
 from .heights import LinearForm, ProjPoint, height_point, weil
 from .moving import Sequence, window_range
 from .parser import EvalError, ParseError, parse_ratfunc
@@ -29,6 +29,7 @@ def _parse_window(text: str) -> tuple[int, int]:
         raise ConfigError(f"window: expected A..B, got {text!r}") from exc
     if hi < lo:
         raise ConfigError(f"window: empty range {text!r}")
+    check_window_length(lo, hi)
     return lo, hi
 
 

@@ -47,6 +47,9 @@ from .steinmetz import choose_s, extend_basis, monomial_sequence
 
 MAX_Q = 12
 MAX_M = 4
+# The values, report rows and monomial spaces of a run are kept for every
+# index of its window, so the window length bounds their memory.
+MAX_WINDOW = 10_000
 
 
 class ConfigError(ValueError):
@@ -118,10 +121,21 @@ class ExperimentConfig:
         return MovingHyperplaneFamily.from_texts(self.hyperplanes, alpha_min=self.window[0])
 
 
+def _is_int(v) -> bool:
+    """A JSON integer: `true` and `false` are not, though Python's bool is an int."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def check_window_length(lo: int, hi: int) -> None:
+    """Refuse a window [lo, hi] of more than MAX_WINDOW indices, before it is built."""
+    if hi - lo + 1 > MAX_WINDOW:
+        raise ConfigError(f"window: {hi - lo + 1} indices, more than the cap of {MAX_WINDOW}")
+
+
 def _check_shape(m, q) -> None:
-    if not isinstance(m, int) or not (1 <= m <= MAX_M):
+    if not _is_int(m) or not (1 <= m <= MAX_M):
         raise ConfigError(f"M: must be an integer in [1, {MAX_M}]")
-    if not isinstance(q, int) or not (m + 1 <= q <= MAX_Q):
+    if not _is_int(q) or not (m + 1 <= q <= MAX_Q):
         raise ConfigError(f"q: must be an integer in [M+1, {MAX_Q}]")
 
 
@@ -177,10 +191,11 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
     if (
         not isinstance(window, list)
         or len(window) != 2
-        or not all(isinstance(v, int) for v in window)
+        or not all(_is_int(v) for v in window)
         or window[1] < window[0]
     ):
         raise ConfigError("window: must be [lo, hi] with lo <= hi")
+    check_window_length(*window)
 
     epsilon = _parse_fraction(need("epsilon"), "epsilon")
     if epsilon <= 0:
@@ -189,7 +204,7 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
     if delta <= 0:
         raise ConfigError("delta: must be positive")
     s_max = data.get("s_max", 12)
-    if not isinstance(s_max, int) or s_max < 0:
+    if not _is_int(s_max) or s_max < 0:
         raise ConfigError("s_max: must be a nonnegative integer")
 
     thresholds = data.get("thresholds", {})

@@ -6,16 +6,17 @@ coefficients by a common nonzero rational function.
 
 A height takes one lcm of the denominators and one gcd of the cleared
 coordinates, and factors nothing: h([f_0 : ... : f_M]) = max deg F_i -
-deg gcd(F_i), where F_i = f_i * lcm(dens) are polynomials. Only `weil_total`,
-which sums over the support of its arguments, factors.
+deg gcd(F_i), where F_i = f_i * lcm(dens) are polynomials. `weil_total`
+factors nothing either: it sums over the elements of a coprime base of the
+values involved.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Sequence as Seq
 
-from .places import INFINITY, PrimeDivisor, divisor_of, ord_at
-from .ratfunc import ONE, RatFunc, poly_gcd
+from .places import INFINITY, PrimeDivisor, ord_at
+from .ratfunc import ONE, RatFunc, coprime_base, poly_gcd
 
 
 @dataclass(frozen=True)
@@ -90,14 +91,6 @@ def e_form(L: LinearForm, p: PrimeDivisor) -> int:
     return _min_ord(L.coeffs, p)
 
 
-def _support(values: Seq[RatFunc]) -> set[PrimeDivisor]:
-    primes: set[PrimeDivisor] = {INFINITY}
-    for v in values:
-        if not v.is_zero():
-            primes.update(p for p, _ in divisor_of(v).support)
-    return primes
-
-
 def _height(values: Seq[RatFunc]) -> int:
     """max deg F_i - deg gcd(F_i) over the nonzero values f_i, F_i = f_i * D
     with D the lcm of their denominators. Summed over the places, this is
@@ -156,10 +149,18 @@ def weil(x: ProjPoint, L: LinearForm, p: PrimeDivisor) -> int:
 
 
 def weil_total(x: ProjPoint, L: LinearForm) -> int:
-    """Sum of the Weil function over all places; equals h(x) + h(L) exactly."""
+    """Sum of the Weil function over all places; equals h(x) + h(L) exactly.
+
+    The finite places are taken in blocks, one per element b of a coprime base
+    of the numerators and denominators of x, L and L(x). Every place p | b has
+    the same order in each of those values, so the Weil function at b times
+    deg b is the sum of lambda_p * deg p over the places p | b, and it is
+    nonnegative exactly when each of them is.
+    """
     value = form_value(x, L)
-    primes = _support(x.coords) | _support(L.coeffs) | _support([value])
-    return sum(weil_at(value, e_point(x, p), e_form(L, p), p) for p in primes)
+    polys = (f for v in (*x.coords, *L.coeffs, value) for f in (v.num, v.den))
+    blocks = [PrimeDivisor(b) for b in coprime_base(polys)]
+    return sum(weil_at(value, e_point(x, p), e_form(L, p), p) for p in [*blocks, INFINITY])
 
 
 def proximity(x: ProjPoint, L: LinearForm, S: PlaceSet) -> int:

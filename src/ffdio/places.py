@@ -14,7 +14,12 @@ from .ratfunc import ONE, Poly, RatFunc, factorize, multiplicity
 
 
 class PrimeDivisor:
-    """A finite place (monic irreducible poly) or the place at infinity."""
+    """A finite place (monic irreducible poly) or the place at infinity.
+
+    `heights.weil_total` also wraps the elements of a coprime base, which may
+    be reducible: ord_at at such an element b is the order that all
+    irreducible factors of b share, and its degree is the sum of theirs.
+    """
 
     __slots__ = ("poly",)
 

@@ -214,6 +214,22 @@ ONE = Poly([1])
 T = Poly([0, 1])
 
 
+def _primitive(p: Poly) -> tuple[Fraction, list[int]]:
+    """p = c * P for a nonzero p, with c a positive rational and P a primitive
+    integer coefficient list, lowest degree first."""
+    from math import gcd, lcm
+
+    den = lcm(*[c.denominator for c in p.coeffs])
+    if den == 1:
+        ints = [c.numerator for c in p.coeffs]
+    else:
+        ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    content = gcd(*ints)
+    if content != 1:
+        ints = [c // content for c in ints]
+    return Fraction(content, den), ints
+
+
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor; raises on gcd(0, 0).
 
@@ -226,20 +242,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return b.monic()
     if b.is_zero():
         return a.monic()
-    from math import lcm
     from sympy.polys.domains import ZZ
     from sympy.polys.euclidtools import dup_gcd
 
-    def as_ints(p: Poly):
-        den = lcm(*(c.denominator for c in p.coeffs))
-        return [ZZ(c.numerator * (den // c.denominator)) for c in reversed(p.coeffs)]
+    def as_ints(p: Poly):  # sympy wants the highest degree first
+        return [ZZ(c) for c in reversed(_primitive(p)[1])]
 
     g = dup_gcd(as_ints(a), as_ints(b), ZZ)
     return Poly(reversed([int(c) for c in g])).monic()
 
 
 def multiplicity(f: Poly, p: Poly) -> int:
-    """Largest m with p^m dividing f; f must be nonzero."""
+    """Largest m with p^m dividing f; f must be nonzero and p nonconstant.
+
+    Off the place t, f and p are cleared to primitive integer polynomials F and
+    P once. By Gauss's lemma p^m | f over Q exactly when P^m | F over Z, so each
+    trial division runs in Z[t] and stops at the first coefficient that lc(P)
+    does not divide.
+    """
     if f.is_zero():
         raise ValueError("multiplicity in the zero polynomial is undefined")
     if p.coeffs == T.coeffs:
@@ -247,13 +267,69 @@ def multiplicity(f: Poly, p: Poly) -> int:
         while m <= f.degree and f.coeffs[m] == 0:
             m += 1
         return m
+    F, P = _primitive(f)[1], _primitive(p)[1]
+    d, lc = len(P) - 1, P[-1]
     m = 0
-    q, r = divmod(f, p)
-    while r.is_zero():
+    while len(F) > d:
+        rem = list(F)
+        quo = [0] * (len(F) - d)
+        for i in range(len(F) - 1, d - 1, -1):
+            c = rem[i]
+            if c:
+                q, r = divmod(c, lc)
+                if r:
+                    return m
+                quo[i - d] = q
+                for j in range(d):
+                    rem[i - d + j] -= q * P[j]
+        if any(rem[:d]):
+            return m
         m += 1
-        f = q
-        q, r = divmod(f, p)
+        F = quo
     return m
+
+
+def coprime_base(polys: Iterable[Poly]) -> list[Poly]:
+    """Monic, squarefree, pairwise coprime b_1, ..., b_k, sorted by (degree,
+    coefficients), such that every irreducible factor of a nonconstant input
+    divides exactly one b_i, and all irreducible factors of one b_i have the
+    same order in every input. Nothing is factored.
+
+    Each input f gives its squarefree layers rad(f), rad(f / rad(f)), ...: the
+    k-th layer is the product of the irreducible p with ord_p(f) >= k, and
+    f / rad(f) = gcd(f, f') in characteristic 0. The layers are then refined
+    pairwise: a piece that shares a factor g with a base element b splits b
+    into g and b / g, and goes on as its own cofactor. Every layer stays a
+    product of base elements, so ord_p(f), the number of layers of f that p
+    divides, is constant on the irreducible factors of one element.
+    """
+    from sympy.polys.densetools import dup_diff
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_inner_gcd
+
+    # Primitive integer lists, highest degree first, as sympy wants them.
+    base: list[list] = []
+    for f in polys:
+        if f.degree < 1:
+            continue
+        f = [ZZ(c) for c in reversed(_primitive(f)[1])]
+        while len(f) > 1:
+            f, piece, _ = dup_inner_gcd(f, dup_diff(f, 1, ZZ), ZZ)
+            # A rest b / g appended here is coprime to what is left of the
+            # piece, since b and the piece are squarefree: it is not revisited.
+            for i in range(len(base)):
+                g, rest, piece = dup_inner_gcd(base[i], piece, ZZ)
+                if len(g) > 1:  # b and the piece share g: b becomes g and b / g
+                    base[i] = g
+                    if len(rest) > 1:
+                        base.append(rest)
+                if len(piece) == 1:
+                    break
+            else:
+                base.append(piece)
+    out = [Poly(reversed([int(c) for c in b])).monic() for b in base]
+    out.sort(key=lambda b: (b.degree, b.coeffs))
+    return out
 
 
 @dataclass(frozen=True)
@@ -285,16 +361,7 @@ def factorize(p: Poly) -> Factorization:
         # Degree one is irreducible: p = lc * (monic p), with nothing to certify.
         return Factorization(p.leading(), ((p.monic(), 1),))
 
-    # Clear denominators: p = (c/d) * F with F a primitive integer polynomial.
-    from math import gcd as igcd, lcm
-
-    den = lcm(*(c.denominator for c in p.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in p.coeffs]
-    content = 0
-    for c in ints:
-        content = igcd(content, abs(c))
-    ints = [c // content for c in ints]
-    unit = Fraction(content, den)
+    unit, ints = _primitive(p)
 
     from sympy.polys.domains import ZZ
     from sympy.polys.factortools import dup_factor_list

@@ -75,3 +75,23 @@ def no_huge_monomial_lists(monkeypatch):
         return original(xi_count, s)
 
     monkeypatch.setattr(steinmetz, "monomials", guarded)
+
+
+@pytest.fixture
+def no_long_windows(monkeypatch):
+    """Fail the test if anything builds a window longer than the cap: such a
+    window must be refused while the config or the flag is read."""
+    import sys
+
+    from ffdio import harness, moving
+
+    original = moving.window_range
+
+    def guarded(lo, hi):
+        if hi - lo + 1 > harness.MAX_WINDOW:
+            pytest.fail(f"window_range({lo}, {hi}) called")
+        return original(lo, hi)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "ffdio" and getattr(module, "window_range", None) is original:
+            monkeypatch.setattr(module, "window_range", guarded)

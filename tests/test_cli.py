@@ -129,6 +129,18 @@ class TestSpaceCommands:
         )
         assert (code, out, err) == (1, "", "error: s_max: must be a nonnegative integer\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lspace", "--xis", "1; t^a", "--s", "1", "--window", "1..10001"],
+            ["choose-s", "--xis", "1; t^a", "--delta", "1/2", "--window", "0..10000"],
+            ["generate", "fixed-fermat", "--window", "1..10001"],
+        ],
+    )
+    def test_window_cap_exits_1(self, capsys, no_long_windows, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: window: 10001 indices, more than the cap of 10000\n")
+
     def test_monomial_cap_exits_1(self, capsys, no_huge_monomial_lists):
         xis = "; ".join(f"t^{k}" for k in range(20))
         code, out, err = run_cli(capsys, "lspace", "--xis", xis, "--s", "30", "--window", "1..3")
@@ -165,6 +177,10 @@ class TestExperimentCommands:
         payload = json.loads(out)
         assert payload["verdict"] == "PASS"
         assert len(payload["rows"]) == 5
+
+    def test_window_override_over_the_cap(self, capsys, fermat_config, no_long_windows):
+        code, out, err = run_cli(capsys, "verify", fermat_config, "--window", "1..10001")
+        assert (code, out, err) == (1, "", "error: window: 10001 indices, more than the cap of 10000\n")
 
     def test_reduce_and_wang(self, capsys, fermat_config):
         code, out, _ = run_cli(capsys, "reduce", fermat_config)

@@ -61,12 +61,24 @@ class TestConfigValidation:
             ({"epsilon": "x"}, "epsilon"),
             ({"thresholds": {"tail_fraction": "2"}}, "thresholds.tail_fraction"),
             ({"infinite_subset": "0"}, "infinite_subset"),
+            ({"window": [True, 5]}, "window"),
+            ({"window": [1, 10_001]}, "window"),
+            ({"window": [-10_000, 0]}, "window"),
+            ({"M": True}, "M"),
+            ({"q": True}, "q"),
+            ({"s_max": False}, "s_max"),
         ],
     )
-    def test_field_errors(self, overrides, field):
+    def test_field_errors(self, overrides, field, no_long_windows):
         with pytest.raises(ConfigError) as exc:
             parse_config(base_config(**overrides))
         assert str(exc.value).startswith(field)
+
+    def test_window_cap(self, no_long_windows):
+        cap = harness.MAX_WINDOW
+        assert parse_config(base_config(window=[5, 4 + cap])).window == (5, 4 + cap)
+        with pytest.raises(ConfigError, match=f"window: {cap + 1} indices, more than the cap of {cap}"):
+            parse_config(base_config(window=[5, 5 + cap]))
 
     def test_q_constraint_is_mode_specific(self):
         cfg = base_config(q=2, hyperplanes=[["1", "0"], ["0", "1"]])

@@ -1,7 +1,10 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffdio import ratfunc
 from ffdio.heights import (
     LinearForm,
     PlaceSet,
@@ -101,14 +104,22 @@ coordinates = st.one_of(
     ),
 )
 
-# The coordinates times one shared factor A / B, so that they share
-# polynomial factors and denominators.
-projective = st.builds(
-    lambda cs, a, b: tuple(v * RatFunc(a, b) for v in cs),
-    st.lists(coordinates, min_size=1, max_size=4),
-    place_products,
-    place_products,
-).filter(any)
+
+def projective(min_size=1, max_size=4):
+    """The coordinates times one shared factor A / B, so that they share
+    polynomial factors and denominators."""
+    return st.builds(
+        lambda cs, a, b: tuple(v * RatFunc(a, b) for v in cs),
+        st.lists(coordinates, min_size=min_size, max_size=max_size),
+        place_products,
+        place_products,
+    ).filter(any)
+
+
+# A point and a form of one dimension, each with shared and repeated factors.
+point_form_pairs = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(projective(n, n), projective(n, n))
+)
 
 
 class TestHeightByGcd:
@@ -129,7 +140,7 @@ class TestHeightByGcd:
         assert height_form(LinearForm(values)) == expected
         assert height_by_support(values) == expected
 
-    @given(projective)
+    @given(projective())
     @settings(max_examples=150, deadline=None)
     def test_matches_the_support_definition(self, values):
         expected = height_by_support(values)
@@ -173,6 +184,63 @@ class TestWeil:
             assert lam >= 0
             assert weil(scaled_x, L, p) == lam
             assert weil(x, scaled_L, p) == lam
+
+
+def weil_total_by_support(x, L):
+    """The definition: the Weil function summed over infinity and every place
+    in the support of a coordinate of x or L or of L(x). Factors every one."""
+    support = {INFINITY}
+    for v in (*x.coords, *L.coeffs, L.apply(x)):
+        if not v.is_zero():
+            support.update(p for p, _ in divisor_of(v).support)
+    return sum(weil(x, L, p) for p in support)
+
+
+class TestWeilTotal:
+    @pytest.mark.parametrize(
+        "coords, coeffs",
+        [
+            # One squarefree part t(t - 1), with the places t and t - 1 of
+            # different orders in each coordinate.
+            (("t^2*(t-1)", "t*(t-1)^2"), ("1", "1")),
+            (("t^2*(t-1)", "t*(t-1)^2"), ("(t-1)/t^3", "1/(t^2+1)")),
+            (("1/(t^2*(t-1))", "(t^2+1)^2", "t-1"), ("t^2+1", "t*(t-1)", "(t+1)^3")),
+            (("1", "t^5"), ("1", "-1")),
+            (("3", "1/2"), ("2", "7")),
+        ],
+    )
+    def test_examples(self, coords, coeffs):
+        x, L = point(*coords), form(*coeffs)
+        assert weil_total(x, L) == weil_total_by_support(x, L)
+        assert weil_total(x, L) == height_point(x) + height_form(L)
+
+    @given(point_form_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_support_sum(self, pair):
+        x, L = ProjPoint(pair[0]), LinearForm(pair[1])
+        if L.apply(x).is_zero():
+            return
+        total = weil_total(x, L)
+        assert total == weil_total_by_support(x, L)
+        assert total == height_point(x) + height_form(L)
+
+    def test_factors_nothing(self, monkeypatch):
+        """weil_total, height_point and height_form reach `factorize` nowhere,
+        also at places of degree 2 and with repeated factors."""
+        calls = []
+        original = ratfunc.factorize
+
+        def counting(p):
+            calls.append(p)
+            return original(p)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "ffdio" and getattr(module, "factorize", None) is original:
+                monkeypatch.setattr(module, "factorize", counting)
+        x = point("(t^2+1)^2/(t^2-2)", "t^3*(t^2-2)", "(t+1)/(t^2+t+1)")
+        L = form("t^2 - 2", "(t^2+1)/t^2", "1/(t^3-2)^2")
+        assert weil_total(x, L) == height_point(x) + height_form(L)
+        assert calls == []
 
 
 class TestProximity:

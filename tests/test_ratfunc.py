@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffdio.ratfunc import ONE, T, ZERO, Poly, RatFunc, factorize, multiplicity, poly_gcd
+from ffdio.ratfunc import ONE, T, ZERO, Poly, RatFunc, coprime_base, factorize, multiplicity, poly_gcd
 
 from conftest import fractions, polys, ratfuncs
 
@@ -58,6 +58,83 @@ class TestMultiplicity:
     def test_t_fast_path(self, m):
         f = (T ** m) * Poly([1, 1])
         assert multiplicity(f, T) == m
+
+    @given(
+        polys(max_degree=3, nonzero=True, coeffs=fractions()),
+        polys(max_degree=2, coeffs=fractions()).filter(lambda p: p.degree >= 1),
+        st.integers(0, 4),
+        fractions().filter(bool),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_against_sympy_division(self, f, p, m, c):
+        """Non-monic, rational and non-primitive p: the integer trial division
+        agrees with repeated division over QQ."""
+        g = f * p ** m
+        for q in (p, p * c, p.monic()):
+            assert multiplicity(g, q) == multiplicity_by_sympy(g, q)
+
+
+def multiplicity_by_sympy(f: Poly, p: Poly) -> int:
+    F = sympy.Poly(_sym(f), SYM_T, domain=sympy.QQ)
+    P = sympy.Poly(_sym(p), SYM_T, domain=sympy.QQ)
+    m = 0
+    while True:
+        q, r = sympy.div(F, P)
+        if not r.is_zero:
+            return m
+        F, m = q, m + 1
+
+
+def _derivative(p: Poly) -> Poly:
+    return Poly([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def _product(fs):
+    acc = ONE
+    for f in fs:
+        acc = acc * f
+    return acc
+
+
+# Places that the inputs share with several multiplicities, so that one
+# squarefree part holds places of different orders.
+SHARED = [Poly([0, 1]), Poly([-1, 1]), Poly([1, 1]), Poly([1, 0, 1]), Poly([3, 2]), Poly([-2, 0, 1])]
+
+sharing_polys = st.builds(
+    lambda c, fs, g: Poly.constant(c) * g * _product(fs),
+    fractions().filter(bool),
+    st.lists(st.sampled_from(SHARED), max_size=5),
+    polys(max_degree=2, nonzero=True),
+)
+
+
+class TestCoprimeBase:
+    def test_example(self):
+        # t^2 (t - 1) and t (t - 1)^2 have the same squarefree part, but t and
+        # t - 1 have different orders in each, so they stay apart.
+        a = T ** 2 * Poly([-1, 1])
+        b = T * Poly([-1, 1]) ** 2
+        assert coprime_base([a, b]) == [Poly([-1, 1]), T]
+        assert coprime_base([a * b, Poly([1, 0, 1]) * 3]) == [T * Poly([-1, 1]), Poly([1, 0, 1])]
+        assert coprime_base([ZERO, Poly([5])]) == []
+
+    @given(st.lists(sharing_polys, max_size=4))
+    @settings(max_examples=80, deadline=None)
+    def test_properties(self, fs):
+        base = coprime_base(fs)
+        for i, b in enumerate(base):
+            assert b.degree >= 1 and b.leading() == 1
+            assert poly_gcd(b, _derivative(b)).degree == 0
+            for other in base[i + 1:]:
+                assert poly_gcd(b, other).degree == 0
+        places = {q for f in fs if f.degree >= 1 for q, _ in factorize(f).factors}
+        assert {q for b in base for q, _ in factorize(b).factors} == places
+        for q in places:
+            assert sum((b % q).is_zero() for b in base) == 1
+        for b in base:
+            for f in fs:
+                if not f.is_zero():
+                    assert len({multiplicity(f, q) for q, _ in factorize(b).factors}) == 1
 
 
 class TestFactorize:
