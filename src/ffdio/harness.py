@@ -40,6 +40,8 @@ from .reduction import (
     derive_and_pad,
     height_P_decomposition,
     index_values,
+    invert_forms,
+    selected_matrix,
     stabilize_J,
     transfer_site,
 )
@@ -208,6 +210,8 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
         raise ConfigError("s_max: must be a nonnegative integer")
 
     thresholds = data.get("thresholds", {})
+    if not isinstance(thresholds, dict):
+        raise ConfigError("thresholds: must be an object")
     tail_fraction = _parse_fraction(thresholds.get("tail_fraction", "1/4"), "thresholds.tail_fraction")
     if not (0 <= tail_fraction < 1):
         raise ConfigError("thresholds.tail_fraction: must be in [0, 1)")
@@ -216,6 +220,13 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
     )
     if smallness_delta <= 0:
         raise ConfigError("thresholds.smallness_delta: must be positive")
+
+    seed = data.get("seed")
+    if seed is not None and not _is_int(seed):
+        raise ConfigError("seed: must be an integer or null")
+    profile = data.get("profile")
+    if profile is not None and not isinstance(profile, str):
+        raise ConfigError("profile: must be a string or null")
 
     infinite_subset = data.get("infinite_subset")
     if infinite_subset is not None:
@@ -236,8 +247,8 @@ def parse_config(data: dict, mode: Optional[str] = None) -> ExperimentConfig:
         tail_fraction=tail_fraction,
         smallness_delta=smallness_delta,
         infinite_subset=infinite_subset,
-        seed=data.get("seed"),
-        profile=data.get("profile"),
+        seed=seed,
+        profile=profile,
     )
 
     if mode in ("verify", "reduce") and q <= m + 1:
@@ -612,17 +623,23 @@ def run_reduction(cfg: ExperimentConfig) -> VerificationReport:
     table = index_values(forms, xs, usable)
     selections: dict[PrimeDivisor, PlaceSelection] = {}
     lam_sel: dict[int, int] = {}  # sum over places and l of lambda_p(x, L_{J[l]})
+    # One inverse per distinct selected matrix; check_local_inequality
+    # re-verifies it at every (place, index).
+    inverses: dict[tuple, list] = {}
     local_checks = 0
     for p in places:
         sel = stabilize_J(p, table, cfg.m)
-        C = build_transfer(sel, b, ls, forms, xs, usable)
+        C = build_transfer(sel, b, ls, table, xs, usable)
         for alpha in sel.stable_subset:
             site = transfer_site(p, table[alpha], sel, b, forms)
             check_transfer(site, C)
             lam_sel[alpha] = lam_sel.get(alpha, 0) + sum(site.base_lams)
         derive_and_pad(C)
         for loc in sel.local:
-            check_local_inequality(loc, forms, table[loc.alpha].x)
+            mat = selected_matrix(loc, forms)
+            if mat not in inverses:
+                inverses[mat] = invert_forms(loc, forms)
+            check_local_inequality(loc, forms, table[loc.alpha].x, inverses[mat])
             local_checks += 1
         selections[p] = sel
 

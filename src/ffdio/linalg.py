@@ -1,8 +1,11 @@
 """Exact Gaussian elimination, one path per field.
 
 Over Q(t) (entries `RatFunc`, or `fractions.Fraction`): `rref`, with `rank`
-and `solve` on top of it. Zero testing is `== 0` (RatFunc compares against the
-constant), and no pivoting heuristics are needed since arithmetic is exact.
+and `solve` on top of it. Zero testing is by truthiness (`RatFunc.__bool__`
+reads the numerator, and builds nothing), and no pivoting heuristics are
+needed since arithmetic is exact. A tall `solve` row-reduces only a spanning
+subset of its rows: the rows independent at t = `PROBE_T` modulo
+`PROBE_PRIME`, plus any row that fails the exact span check of the others.
 `det`, which `general_position_check` only compares with 0, still has a
 forward elimination of its own.
 
@@ -20,9 +23,9 @@ from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
-from typing import Mapping, Sequence, TypeVar, Union
+from typing import Mapping, Optional, Sequence, TypeVar, Union
 
-from .ratfunc import ONE, RatFunc, poly_gcd
+from .ratfunc import ONE, Poly, RatFunc, poly_gcd
 
 F = TypeVar("F")
 
@@ -46,16 +49,17 @@ def rref(rows: Sequence[Sequence[F]]) -> tuple[Matrix, list[int]]:
     pivots = []
     r = 0
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
         pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
+        if pv != 1:
+            m[r] = [x / pv if x else x for x in m[r]]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
+            if i != r and m[i][c]:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [a - f * b if b else a for a, b in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -67,21 +71,115 @@ def rank(rows: Sequence[Sequence[F]]) -> int:
     return len(rref(rows)[1])
 
 
+# The point t = PROBE_T and the prime at which `solve` picks its rows.
+PROBE_T = 3
+PROBE_PRIME = 2**61 - 1
+
+
 def solve(rows: Sequence[Sequence[F]], rhs: Sequence[Sequence[F]]) -> Matrix:
     """X with rows @ X == rhs, free variables set to zero.
 
     `rhs` has one row per equation and one column per right-hand side; the
-    augmented matrix [rows | rhs] is row-reduced once for all of them.
+    augmented matrix [rows | rhs] is row-reduced once for all of them. With
+    more equations than unknowns, only a subset of its rows is row-reduced,
+    one that spans the others; the RREF of a row space is unique, so X is the
+    one the full system gives. The subset starts from the rows independent at
+    t = PROBE_T modulo PROBE_PRIME (a minor that is nonzero there is nonzero
+    over Q(t)), or from the first rows where some entry does not evaluate
+    there. A row that is not the combination of the reduced rows given by its
+    pivot entries joins the subset, which is then row-reduced again; only an
+    unlucky t_0 or an inconsistent system adds a row.
     """
     ncols = len(rows[0])
-    reduced, pivots = rref([list(a) + list(b) for a, b in zip(rows, rhs)])
-    if pivots and pivots[-1] >= ncols:
-        raise InconsistentSystem("no exact solution")
+    aug = [list(a) + list(b) for a, b in zip(rows, rhs)]
+    picked = _independent_at_probe([r[:ncols] for r in aug]) if len(aug) > ncols else None
+    if picked is None:
+        picked = list(range(min(len(aug), ncols)))
+    while True:
+        reduced, pivots = rref([aug[i] for i in picked])
+        if pivots and pivots[-1] >= ncols:
+            raise InconsistentSystem("no exact solution")
+        chosen = set(picked)
+        failed = next(
+            (i for i in range(len(aug)) if i not in chosen and not _in_span(aug[i], reduced, pivots)),
+            None,
+        )
+        if failed is None:
+            break
+        picked.append(failed)
     zero = rhs[0][0] - rhs[0][0]
     x = [[zero] * len(rhs[0]) for _ in range(ncols)]
     for r, pc in enumerate(pivots):
         x[pc] = reduced[r][ncols:]
     return x
+
+
+def _in_span(row: list, reduced: Matrix, pivots: list[int]) -> bool:
+    """row == sum_k row[pivots[k]] * reduced[k], exactly. Only the non-pivot
+    columns are compared: at pivot column pivots[k] the sum is row[pivots[k]]
+    by construction."""
+    terms = [(row[pc], reduced[k]) for k, pc in enumerate(pivots) if row[pc]]
+    pivot_set = set(pivots)
+    for c, target in enumerate(row):
+        if c in pivot_set:
+            continue
+        acc = None
+        for f, red in terms:
+            if red[c]:
+                acc = f * red[c] if acc is None else acc + f * red[c]
+        if acc is None:
+            if target:
+                return False
+        elif acc != target:
+            return False
+    return True
+
+
+def _independent_at_probe(rows: Matrix) -> Optional[list[int]]:
+    """Indices of a maximal set of rows, taken greedily in order, that stay
+    independent at t = PROBE_T modulo PROBE_PRIME; None if some entry has a
+    pole there or a denominator that the prime divides."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row with 1 there)
+    picked = []
+    for idx, row in enumerate(rows):
+        vec = []
+        for v in row:
+            value = _value_at_probe(v)
+            if value is None:
+                return None
+            vec.append(value)
+        for pc, red in basis:
+            f = vec[pc]
+            if f:
+                vec = [(a - f * b) % PROBE_PRIME for a, b in zip(vec, red)]
+        pc = next((c for c, v in enumerate(vec) if v), None)
+        if pc is None:
+            continue
+        inv = pow(vec[pc], -1, PROBE_PRIME)
+        basis.append((pc, [v * inv % PROBE_PRIME for v in vec]))
+        picked.append(idx)
+        if len(picked) == len(row):
+            break
+    return picked
+
+
+def _value_at_probe(v) -> Optional[int]:
+    """v (RatFunc, Fraction or int) at t = PROBE_T modulo PROBE_PRIME."""
+    if not isinstance(v, RatFunc):
+        v = RatFunc.constant(v)
+    num, den = _poly_at_probe(v.num), _poly_at_probe(v.den)
+    if num is None or not den:
+        return None
+    return num * pow(den, -1, PROBE_PRIME) % PROBE_PRIME
+
+
+def _poly_at_probe(p: Poly) -> Optional[int]:
+    acc = 0
+    for c in reversed(p.coeffs):
+        if c.denominator % PROBE_PRIME == 0:
+            return None
+        acc = (acc * PROBE_T + c.numerator * pow(c.denominator, -1, PROBE_PRIME)) % PROBE_PRIME
+    return acc
 
 
 def det(rows: Sequence[Sequence[F]]):
@@ -91,7 +189,7 @@ def det(rows: Sequence[Sequence[F]]):
     sign = 1
     result = None
     for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
+        pivot_row = next((i for i in range(c, n) if m[i][c]), None)
         if pivot_row is None:
             return m[0][0] - m[0][0]  # zero of the field
         if pivot_row != c:
@@ -100,7 +198,7 @@ def det(rows: Sequence[Sequence[F]]):
         pv = m[c][c]
         result = pv if result is None else result * pv
         for i in range(c + 1, n):
-            if m[i][c] != 0:
+            if m[i][c]:
                 f = m[i][c] / pv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return result if sign == 1 else -result

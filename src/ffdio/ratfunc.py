@@ -81,7 +81,7 @@ class Poly:
         if isinstance(other, Poly):
             return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self == Poly.constant(other)
+            return self.coeffs == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -440,10 +440,12 @@ class RatFunc:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        other = _as_ratfunc(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
+        if isinstance(other, RatFunc):
+            return self.num == other.num and self.den == other.den
+        if isinstance(other, (int, Fraction, Poly)):
+            # Its denominator would be ONE, the one monic constant.
+            return self.den.degree == 0 and self.num == other
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

@@ -109,13 +109,14 @@ def stabilize_J(p: PrimeDivisor, table: dict[int, IndexValues], m: int) -> Place
     return PlaceSelection(p, best[0], tuple(sorted(best[1])), tuple(local))
 
 
-def _selected_matrix(loc: LocalSelection, forms: NormalizedFamily) -> list[list[RatFunc]]:
-    return [list(forms.eval_form(j, loc.alpha).coeffs) for j in loc.J]
+def selected_matrix(loc: LocalSelection, forms: NormalizedFamily) -> tuple[tuple[RatFunc, ...], ...]:
+    """The coefficient rows of the selected forms at loc.alpha, in J order."""
+    return tuple(forms.eval_form(j, loc.alpha).coeffs for j in loc.J)
 
 
 def invert_forms(loc: LocalSelection, forms: NormalizedFamily) -> list[list[RatFunc]]:
     """Exact inverse over Q(t) of the coefficient matrix of the selected rows."""
-    mat = _selected_matrix(loc, forms)
+    mat = selected_matrix(loc, forms)
     n = len(mat)
     identity = [[RatFunc.constant(int(i == k)) for k in range(n)] for i in range(n)]
     try:
@@ -130,12 +131,14 @@ def check_inverse(
     loc: LocalSelection, forms: NormalizedFamily, inv: list[list[RatFunc]]
 ) -> None:
     """Re-verify inv * (selected coefficient matrix) == identity exactly."""
-    mat = _selected_matrix(loc, forms)
+    mat = selected_matrix(loc, forms)
     n = len(mat)
     for i in range(n):
         for j in range(n):
-            acc = sum((inv[i][k] * mat[k][j] for k in range(n)), RatFunc.constant(0))
-            if acc != RatFunc.constant(int(i == j)):
+            acc = inv[i][0] * mat[0][j]
+            for k in range(1, n):
+                acc = acc + inv[i][k] * mat[k][j]
+            if acc != int(i == j):
                 raise ExactIdentityError(
                     f"inverse identity fails at place {loc.place}, index {loc.alpha}"
                 )
@@ -148,20 +151,21 @@ class LocalInequality:
 
 
 def check_local_inequality(
-    loc: LocalSelection, forms: NormalizedFamily, x: ProjPoint
+    loc: LocalSelection, forms: NormalizedFamily, x: ProjPoint, inv: list[list[RatFunc]]
 ) -> LocalInequality:
     """Exact local counting bound at (p, alpha) = (loc.place, loc.alpha).
 
     sum over all rows of (e_p(x) - ord_p L_j(x)) is at least the same sum over
-    the selected rows plus (q - M - 1) times the minimum order of the inverse
-    matrix entries. The inverse is re-verified by `check_inverse` before its
-    orders are used. Always holds, since loc.J is the order ranking at alpha;
-    raises ExactIdentityError if it does not.
+    the selected rows plus (q - M - 1) times the minimum order of the entries
+    of inv, the inverse of the selected matrix (`invert_forms`). The inverse
+    is re-verified here by `check_inverse` before its orders are used, so one
+    inverse may serve every index with the same selected matrix. Always
+    holds, since loc.J is the order ranking at alpha; raises
+    ExactIdentityError if it does not.
     """
     p = loc.place
     e = e_point(x, p)
     lhs = sum(e - o for o in loc.ords)
-    inv = invert_forms(loc, forms)
     check_inverse(loc, forms, inv)
     min_inv = min(ord_at(v, p) for row in inv for v in row if not v.is_zero())
     rhs = sum(e - loc.ords[j] for j in loc.J) + (forms.q - forms.m - 1) * min_inv
@@ -182,16 +186,18 @@ def build_transfer(
     sel: PlaceSelection,
     b: Seq[Sequence],
     ls: int,
-    forms: NormalizedFamily,
+    table: dict[int, IndexValues],
     xs: PointSequence,
     window: Seq[int],
 ) -> TransferMatrix:
     """Solve exactly for constant rows expressing b_j * h_{J[l]} in the
-    products b_mu * x_nu, where h_k = L_k(x) is the value of normalized row k.
+    products b_mu * x_nu, where h_k = L_k(x) is the value of normalized row k,
+    read from the run's value table.
 
     `window` holds the usable indices: every point evaluates and no row has a
-    normalisation exception there. The stable system is row-reduced once with
-    all (M+1) * l(s) right-hand sides, column l * ls + j for row (l, j).
+    normalisation exception there. The stable system is solved once with all
+    (M+1) * l(s) right-hand sides, column l * ls + j for row (l, j); the solve
+    row-reduces a subset of the stable rows that spans the others.
     `check_transfer` re-verifies the identities at each stable index.
     Requires the products to be independent over Q(t) on the window with
     constant coefficients (the operational nondegeneracy hypothesis).
@@ -216,8 +222,7 @@ def build_transfer(
 
     targets = []
     for alpha in sel.stable_subset:
-        x = xs.eval_point(alpha)
-        h = [forms.eval_form(k, alpha).apply(x) for k in sel.J]
+        h = [table[alpha].values[k] for k in sel.J]
         targets.append([b[j].eval(alpha) * h[l] for l in range(m + 1) for j in range(ls)])
     try:
         coeffs = linalg.solve([value_rows[a] for a in sel.stable_subset], targets)

@@ -1,11 +1,12 @@
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
-from ffdio import harness, places
+from ffdio import harness, places, reduction
 from ffdio.harness import (
     ConfigError,
     ProbeRefusal,
@@ -67,6 +68,13 @@ class TestConfigValidation:
             ({"M": True}, "M"),
             ({"q": True}, "q"),
             ({"s_max": False}, "s_max"),
+            ({"thresholds": [1]}, "thresholds"),
+            ({"thresholds": "1/4"}, "thresholds"),
+            ({"seed": {"a": [1, 2]}}, "seed"),
+            ({"seed": 1.5}, "seed"),
+            ({"seed": True}, "seed"),
+            ({"profile": 3.5}, "profile"),
+            ({"profile": ["fixed-fermat"]}, "profile"),
         ],
     )
     def test_field_errors(self, overrides, field, no_long_windows):
@@ -228,6 +236,13 @@ def _bruteforce_subsets(forms, m):
     return out
 
 
+MOVING_REDUCE = base_config(
+    q=4,
+    hyperplanes=[["1", "0"], ["0", "1"], ["1", "t^ilog2(a)"], ["1", "-1"]],
+    window=[8, 80],
+)
+
+
 class TestRunReduction:
     def test_fermat(self):
         cfg = generate("fixed-fermat", window=(1, 25))
@@ -239,14 +254,7 @@ class TestRunReduction:
         assert report.extra["selections"] == {"t": [1, 0], "inf": [0, 1]}
 
     def test_moving_instance(self):
-        cfg = parse_config(
-            base_config(
-                q=4,
-                hyperplanes=[["1", "0"], ["0", "1"], ["1", "t^ilog2(a)"], ["1", "-1"]],
-                window=[8, 80],
-            ),
-            "reduce",
-        )
+        cfg = parse_config(MOVING_REDUCE, "reduce")
         report = run_reduction(cfg)
         assert report.verdict == "PASS"
         assert report.extra["l_s1"] == 2  # basis {1, t^ilog2(a)}
@@ -259,6 +267,46 @@ class TestRunReduction:
             h_b = r.alpha.bit_length() - 1
             assert r.rhs == slope * (r.h_x + h_b) + report.fitted_constant
             assert r.ratio == Fraction(r.lhs, r.h_x)
+
+    def test_one_inverse_per_distinct_selected_matrix(self, monkeypatch):
+        """The inverse is computed once per distinct selected matrix and
+        re-checked at every (place, index)."""
+        inverted, checked = [], []
+        invert, check = harness.invert_forms, reduction.check_inverse
+
+        def counting_invert(loc, forms):
+            inverted.append(reduction.selected_matrix(loc, forms))
+            return invert(loc, forms)
+
+        def counting_check(loc, forms, inv):
+            checked.append(reduction.selected_matrix(loc, forms))
+            return check(loc, forms, inv)
+
+        monkeypatch.setattr(harness, "invert_forms", counting_invert)
+        monkeypatch.setattr(reduction, "check_inverse", counting_check)
+        report = run_reduction(parse_config(MOVING_REDUCE, "reduce"))
+        assert report.verdict == "PASS"
+        assert len(checked) == report.extra["local_inequality_checks"] == 2 * len(range(8, 81))
+        assert len(inverted) == len(set(inverted)) == len(set(checked))
+        assert 1 < len(inverted) < len(checked)
+
+    def test_inconsistent_transfer_is_refused_before_any_identity_check(self, monkeypatch):
+        # x_0 = 1, so L_0(x) + 1 = 2 keeps every order and hence the selection,
+        # but no constant transfer row gives it at one stable index.
+        table = harness.index_values
+
+        def tampered(forms, xs, usable):
+            out = table(forms, xs, usable)
+            iv = out[20]
+            out[20] = replace(iv, values=(iv.values[0] + 1,) + iv.values[1:])
+            return out
+
+        monkeypatch.setattr(harness, "index_values", tampered)
+        cfg = parse_config(MOVING_REDUCE, "reduce")
+        with pytest.raises(
+            ValueError, match=r"^transfer system inconsistent on the stable subset; enlarge the window$"
+        ):
+            run_reduction(cfg)
 
     def test_index_that_fails_to_evaluate_is_excluded(self):
         cfg = parse_config(

@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 from ffdio import linalg
 from ffdio.ratfunc import Poly, RatFunc
 
-from conftest import det_cofactor, fractions
+from conftest import det_cofactor, fractions, ratfuncs
 
 ONE = Fraction(1)
 
@@ -119,6 +119,150 @@ class TestRrefRankSolve:
             for j in range(3):
                 acc = sum(inv[i][k] * rows[k][j] for k in range(3))
                 assert acc == (1 if i == j else 0)
+
+
+T = RatFunc(Poly([0, 1]))
+T0 = RatFunc(Poly([-linalg.PROBE_T, 1]))  # t - PROBE_T: zero at the probe
+SYM_T = sympy.Symbol("t")
+QT = sympy.QQ.frac_field(SYM_T)
+
+
+def _to_qt(r):
+    """A RatFunc, or a scalar, as an element of sympy's QQ(t)."""
+    if not isinstance(r, RatFunc):
+        r = RatFunc.constant(r)
+    num, den = (
+        sum((sympy.Rational(c.numerator, c.denominator) * SYM_T**i for i, c in enumerate(p.coeffs)), sympy.Integer(0))
+        for p in (r.num, r.den)
+    )
+    return QT.from_sympy(num / den)
+
+
+def _sympy_solution(rows, rhs):
+    """X of the RREF of [rows | rhs] over Q(t) by sympy, free variables zero;
+    None if the system is inconsistent."""
+    n, ncols = len(rows), len(rows[0])
+    aug = [[_to_qt(v) for v in list(a) + list(b)] for a, b in zip(rows, rhs)]
+    reduced, pivots = DomainMatrix(aug, (n, len(aug[0])), QT).rref()
+    if any(pc >= ncols for pc in pivots):
+        return None
+    dense = reduced.to_Matrix()
+    x = [[QT.zero] * len(rhs[0]) for _ in range(ncols)]
+    for r, pc in enumerate(pivots):
+        x[pc] = [QT.from_sympy(dense[r, c]) for c in range(ncols, len(aug[0]))]
+    return x
+
+
+def _count_rrefs(monkeypatch):
+    calls = []
+    real = linalg.rref
+
+    def counted(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, "rref", counted)
+    return calls
+
+
+@st.composite
+def tall_systems(draw):
+    """rows = C @ B with B of rank <= `rank` and some entries multiplied or
+    divided by t - PROBE_T, and rhs = rows @ X0 plus an optional perturbation
+    that may make the system inconsistent."""
+    ncols = draw(st.integers(1, 3))
+    rank = draw(st.integers(0, ncols))
+    n = draw(st.integers(ncols + 1, ncols + 4))
+    nrhs = draw(st.integers(1, 2))
+    entry = ratfuncs(1)
+    shift = st.sampled_from([T0, T0.inverse(), RatFunc.constant(1)])
+    basis = [[draw(entry) * draw(shift) for _ in range(ncols)] for _ in range(rank)]
+    mix = [[draw(st.integers(-2, 2)) for _ in range(rank)] for _ in range(n)]
+    zero = RatFunc.constant(0)
+    rows = []
+    for coeffs in mix:
+        row = [zero] * ncols
+        for c, brow in zip(coeffs, basis):
+            row = [a + c * v for a, v in zip(row, brow)]
+        rows.append(row)
+    x0 = [[draw(entry) for _ in range(nrhs)] for _ in range(ncols)]
+    rhs = [[sum((r[k] * x0[k][c] for k in range(ncols)), zero) for c in range(nrhs)] for r in rows]
+    if draw(st.booleans()):
+        i, c = draw(st.integers(0, n - 1)), draw(st.integers(0, nrhs - 1))
+        rhs[i][c] = rhs[i][c] + draw(st.sampled_from([RatFunc.constant(1), T, T0]))
+    return rows, rhs
+
+
+class TestTallSolve:
+    """`solve` on systems with more equations than unknowns, which row-reduce
+    a spanning subset chosen at t = PROBE_T, against sympy's RREF over Q(t)."""
+
+    @given(tall_systems())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_sympy(self, system):
+        rows, rhs = system
+        want = _sympy_solution(rows, rhs)
+        if want is None:
+            with pytest.raises(linalg.InconsistentSystem):
+                linalg.solve(rows, rhs)
+            return
+        x = linalg.solve(rows, rhs)
+        assert [[_to_qt(v) for v in row] for row in x] == want
+        pivots = linalg.rref([list(a) + list(b) for a, b in zip(rows, rhs)])[1]
+        for c in range(len(rows[0])):
+            if c not in pivots:
+                assert all(v == 0 for v in x[c])  # free variables are zero
+
+    def test_full_rank(self, monkeypatch):
+        rows = [[RatFunc.constant(1), T ** a] for a in range(1, 7)]
+        rhs = [[T ** a + 2] for a in range(1, 7)]
+        calls = _count_rrefs(monkeypatch)
+        assert linalg.solve(rows, rhs) == [[RatFunc.constant(2)], [RatFunc.constant(1)]]
+        assert calls == [2]
+
+    def test_rank_deficient_sets_free_variables_to_zero(self, monkeypatch):
+        # Every row is a multiple of (1, t, t^2): rank 1 in 3 unknowns.
+        rows = [[T ** a, T ** (a + 1), T ** (a + 2)] for a in range(5)]
+        rhs = [[T ** a * (T + 1)] for a in range(5)]
+        calls = _count_rrefs(monkeypatch)
+        x = linalg.solve(rows, rhs)
+        assert x == [[T + 1], [RatFunc.constant(0)], [RatFunc.constant(0)]]
+        assert calls == [1]
+
+    def test_inconsistent(self):
+        rows = [[RatFunc.constant(1), T ** a] for a in range(1, 5)]
+        rhs = [[T ** a + 2] for a in range(1, 5)]
+        rhs[3][0] = rhs[3][0] + 1
+        with pytest.raises(linalg.InconsistentSystem):
+            linalg.solve(rows, rhs)
+
+    def test_a_zero_at_the_probe_adds_a_row(self, monkeypatch):
+        # (1, t - t0) and (1, 0) coincide at t0, so the probe keeps one of
+        # them and the span check adds the other.
+        one, zero = RatFunc.constant(1), RatFunc.constant(0)
+        rows = [[one, T0], [one, zero], [one + one, T0]]
+        rhs = [[one + T0], [one], [one + one + T0]]
+        calls = _count_rrefs(monkeypatch)
+        assert linalg.solve(rows, rhs) == [[one], [one]]
+        assert calls == [1, 2]
+
+    def test_a_pole_at_the_probe_starts_from_the_first_rows(self, monkeypatch):
+        # 1/(t - t0) does not evaluate at t0; rows 0 and 1 are dependent, so
+        # the span check adds row 2.
+        one = RatFunc.constant(1)
+        pole = T0.inverse()
+        rows = [[one, pole], [one + one, pole + pole], [one, one], [one, T]]
+        rhs = [[one + pole], [one + one + pole + pole], [one + one], [one + T]]
+        calls = _count_rrefs(monkeypatch)
+        assert linalg.solve(rows, rhs) == [[one], [one]]
+        assert calls == [2, 3]
+
+    def test_an_inconsistent_row_missed_by_the_probe_is_found(self):
+        one = RatFunc.constant(1)
+        rows = [[one, T0], [one, T0 * T0], [one, RatFunc.constant(0)]]
+        rhs = [[one], [one], [one + one]]
+        with pytest.raises(linalg.InconsistentSystem):
+            linalg.solve(rows, rhs)
 
 
 class TestGreedyBasis:

@@ -194,6 +194,18 @@ class TestRatFunc:
         with pytest.raises(ZeroDivisionError):
             RatFunc(ONE, ZERO)
 
+    @given(
+        st.one_of(ratfuncs(2), st.builds(RatFunc.constant, fractions()), st.just(RatFunc(ZERO))),
+        st.one_of(st.integers(-3, 3), fractions()),
+    )
+    @settings(max_examples=200)
+    def test_comparison_with_a_constant(self, r, c):
+        """r == c and p == c compare directly, as against the built constant."""
+        assert (r == c) == (r == RatFunc.constant(c))
+        assert (r != c) == (r != RatFunc.constant(c))
+        assert (r.num == c) == (r.num == Poly.constant(c))
+        assert (RatFunc.constant(c) == c) and (Poly.constant(c) == c)
+
     @given(ratfuncs(), ratfuncs(), ratfuncs())
     @settings(max_examples=60)
     def test_field_axioms(self, a, b, c):

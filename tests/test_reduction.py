@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -96,7 +97,8 @@ class TestLocalInequality:
     def test_exact_values(self):
         forms, xs, table = fermat_table()
         loc = reduction.select_J(T_PLACE, table[7], forms.m)
-        res = reduction.check_local_inequality(loc, forms, xs.eval_point(7))
+        inv = reduction.invert_forms(loc, forms)
+        res = reduction.check_local_inequality(loc, forms, xs.eval_point(7), inv)
         assert res.lhs == -7 and res.rhs == -7
 
     def test_wrong_selection_raises(self):
@@ -104,15 +106,17 @@ class TestLocalInequality:
         # over that J reads -7 >= 0, which fails.
         forms, xs = fermat_fixture()
         loc = reduction.LocalSelection(T_PLACE, 7, (0, 7, 0), (0, 2))
+        inv = reduction.invert_forms(loc, forms)
         with pytest.raises(reduction.ExactIdentityError, match="place t, index 7"):
-            reduction.check_local_inequality(loc, forms, xs.eval_point(7))
+            reduction.check_local_inequality(loc, forms, xs.eval_point(7), inv)
 
     def test_holds_everywhere(self):
         forms, xs, table = fermat_table()
         for p in (T_PLACE, INFINITY):
             sel = reduction.stabilize_J(p, table, forms.m)
             for loc in sel.local:
-                res = reduction.check_local_inequality(loc, forms, xs.eval_point(loc.alpha))
+                inv = reduction.invert_forms(loc, forms)
+                res = reduction.check_local_inequality(loc, forms, xs.eval_point(loc.alpha), inv)
                 assert res.lhs >= res.rhs
 
 
@@ -123,7 +127,7 @@ class TestTransfer:
         assert (ls, ls1) == (1, 1)
         for p in (T_PLACE, INFINITY):
             sel = reduction.stabilize_J(p, table, forms.m)
-            C = reduction.build_transfer(sel, b, ls, forms, xs, WINDOW)
+            C = reduction.build_transfer(sel, b, ls, table, xs, WINDOW)
             assert reduction.derive_and_pad(C) == ()
             for alpha in sel.stable_subset:
                 site = reduction.transfer_site(p, table[alpha], sel, b, forms)
@@ -136,10 +140,22 @@ class TestTransfer:
         forms, xs, table = fermat_table()
         b, ls, _ = fermat_basis(forms)
         sel = reduction.stabilize_J(T_PLACE, table, forms.m)
-        C = reduction.build_transfer(sel, b, ls, forms, xs, WINDOW)
+        C = reduction.build_transfer(sel, b, ls, table, xs, WINDOW)
         # h_{J[0]} = x_1 and h_{J[1]} = x_0 in the product coordinates (x_0, x_1).
         assert [str(c) for c in C.row_form(0, 0).coeffs] == ["0", "1"]
         assert [str(c) for c in C.row_form(1, 0).coeffs] == ["1", "0"]
+
+    def test_tampered_table_value_makes_the_system_inconsistent(self):
+        # h_{J[1]} = L_0(x) = x_0 = 1; 2 at one stable index fits no constant row.
+        forms, xs, table = fermat_table()
+        b, ls, _ = fermat_basis(forms)
+        sel = reduction.stabilize_J(T_PLACE, table, forms.m)
+        iv = table[7]
+        table[7] = replace(iv, values=(iv.values[0] + 1,) + iv.values[1:])
+        with pytest.raises(
+            ValueError, match=r"^transfer system inconsistent on the stable subset; enlarge the window$"
+        ):
+            reduction.build_transfer(sel, b, ls, table, xs, WINDOW)
 
     def test_tampered_transfer_detected(self):
         forms, xs, table = fermat_table()
@@ -197,7 +213,7 @@ class TestTransfer:
         forms, xs, table = fermat_table()
         b, ls, _ = fermat_basis(forms)
         sel = reduction.stabilize_J(T_PLACE, table, forms.m)
-        C = reduction.build_transfer(sel, b, ls, forms, xs, WINDOW)
+        C = reduction.build_transfer(sel, b, ls, table, xs, WINDOW)
         monkeypatch.setattr(reduction.linalg, "rank", lambda rows: 0)
         with pytest.raises(reduction.ExactIdentityError, match="derived family degenerates for place t"):
             reduction.derive_and_pad(C)
